@@ -19,6 +19,7 @@ from .core import (
     Instance,
     ParseError,
     Side,
+    _content_lines,
     format_instance,
     format_matching,
     parse_instance,
@@ -29,6 +30,7 @@ from .counting import (
     Poset,
     count_downsets,
     count_independent_sets,
+    count_stable_matchings,
     enumerate_downsets,
     matching_from_downset,
     parse_bipartite,
@@ -66,12 +68,10 @@ def _read(path: str) -> str:
 
 def _load_instance(path: str) -> Instance:
     text = _read(path)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            if line.startswith("model "):
-                return induced_instance(parse_geometric(text))
-            return parse_instance(text)
+    for _, line in _content_lines(text):
+        if line.startswith("model "):
+            return induced_instance(parse_geometric(text))
+        return parse_instance(text)
     raise ParseError("empty input")
 
 
@@ -119,7 +119,7 @@ def _cmd_poset(args) -> int:
 
 def _cmd_count(args) -> int:
     inst = _load_instance(args.file)
-    print(count_downsets(Poset.from_rotations(rotation_poset(inst))))
+    print(count_stable_matchings(inst))
     return 0
 
 
@@ -129,7 +129,7 @@ def _cmd_enumerate(args) -> int:
     poset = Poset.from_rotations(rposet)
     print(f"total {count_downsets(poset)}")
     for downset in enumerate_downsets(poset, limit=args.limit):
-        matching = matching_from_downset(inst, rposet, downset)
+        matching = matching_from_downset(rposet, downset)
         print(" ".join(map(str, matching.wives)))
     return 0
 

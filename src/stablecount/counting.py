@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, Matching, ParseError, _content_lines, Side
-from .gale_shapley import is_stable, propose_optimal
+from .core import Instance, Matching, ParseError, _content_lines
+from .gale_shapley import is_stable
 from .rotations import RotationPoset, rotation_poset
 
 
@@ -116,12 +116,10 @@ def enumerate_downsets(
     yield from walk((1 << poset.size) - 1, 0)
 
 
-def matching_from_downset(
-    inst: Instance, rposet: RotationPoset, downset: frozenset[int]
-) -> Matching:
+def matching_from_downset(rposet: RotationPoset, downset: frozenset[int]) -> Matching:
     """Apply the rotations of a downset (in discovery order) to the
     man-optimal matching."""
-    wives = list(propose_optimal(inst, Side.MAN).wives)
+    wives = list(rposet.man_optimal.wives)
     for i in sorted(downset):
         rot = rposet.rotations[i]
         k = len(rot.pairs)
@@ -142,7 +140,7 @@ def enumerate_stable_matchings(
     rposet = rotation_poset(inst)
     poset = Poset.from_rotations(rposet)
     for downset in enumerate_downsets(poset, limit):
-        yield matching_from_downset(inst, rposet, downset)
+        yield matching_from_downset(rposet, downset)
 
 
 def brute_force_stable_matchings(inst: Instance) -> list[Matching]:
@@ -243,53 +241,11 @@ def brute_force_independent_sets(graph: BipartiteGraph) -> int:
     return count
 
 
-def _one_sided_independent_sets(graph: BipartiteGraph) -> int:
-    # enumerate subsets of the smaller side; the other side is free off
-    # the chosen vertices' neighbourhoods
-    flip = graph.n1 > graph.n2
-    if flip:
-        small, large = graph.n2, graph.n1
-        nbr = [0] * (small + 1)
-        for u, v in graph.edges:
-            nbr[v] |= 1 << (u - 1)
-    else:
-        small, large = graph.n1, graph.n2
-        nbr = [0] * (small + 1)
-        for u, v in graph.edges:
-            nbr[u] |= 1 << (v - 1)
-    total = 0
-    for mask in range(1 << small):
-        blocked = 0
-        rest = mask
-        while rest:
-            x = (rest & -rest).bit_length()
-            blocked |= nbr[x]
-            rest &= rest - 1
-        total += 1 << (large - bin(blocked).count("1"))
-    return total
-
-
-def count_independent_sets(graph: BipartiteGraph, check: bool = True) -> int:
-    """Count independent sets of a bipartite graph via poset downsets.
-
-    With ``check`` set, the result is re-derived by direct subset
-    enumeration and the two counts are asserted equal.
-    """
+def count_independent_sets(graph: BipartiteGraph) -> int:
+    """Count independent sets of a bipartite graph via poset downsets."""
     if graph.size > 40:
         raise SizeLimitError("size bound exceeded: need n1 + n2 <= 40")
-    result = count_downsets(poset_from_bipartite(graph))
-    if check:
-        if graph.size <= 16:
-            other = brute_force_independent_sets(graph)
-        elif min(graph.n1, graph.n2) <= 20:
-            other = _one_sided_independent_sets(graph)
-        else:
-            other = None
-        if other is not None and other != result:
-            raise AssertionError(
-                f"independent-set routes disagree: {result} vs {other}"
-            )
-    return result
+    return count_downsets(poset_from_bipartite(graph))
 
 
 # -- textual format ----------------------------------------------------

@@ -13,28 +13,31 @@ def propose_optimal(inst: Instance, side: Side = Side.MAN) -> Matching:
     Returns the matching that is optimal for the proposing side (and
     pessimal for the other).  The result is always indexed man -> woman.
     """
-    if side is Side.WOMAN:
-        return propose_optimal(inst.transposed(), Side.MAN).transposed()
-
+    if side is Side.MAN:
+        prefs, rank = inst.men_prefs, inst._women_rank
+    else:
+        prefs, rank = inst.women_prefs, inst._men_rank
     n = inst.n
-    next_choice = [0] * (n + 1)  # next position on each man's list to try
-    fiance = [0] * (n + 1)  # fiance[w] = current partner of woman w, 0 if free
+    next_choice = [0] * (n + 1)  # next position on each proposer's list to try
+    held = [0] * (n + 1)  # held[r] = proposer receiver r holds, 0 if free
     free = deque(range(1, n + 1))
     while free:
-        m = free.popleft()
-        w = inst.men_prefs[m - 1][next_choice[m]]
-        next_choice[m] += 1
-        current = fiance[w]
+        p = free.popleft()
+        r = prefs[p - 1][next_choice[p]]
+        next_choice[p] += 1
+        current = held[r]
         if current == 0:
-            fiance[w] = m
-        elif inst.woman_rank(w, m) < inst.woman_rank(w, current):
-            fiance[w] = m
+            held[r] = p
+        elif rank[r - 1][p - 1] < rank[r - 1][current - 1]:
+            held[r] = p
             free.append(current)
         else:
-            free.append(m)
+            free.append(p)
+    if side is Side.WOMAN:
+        return Matching(tuple(held[1:]))  # the receivers are the men
     wives = [0] * n
     for w in range(1, n + 1):
-        wives[fiance[w] - 1] = w
+        wives[held[w] - 1] = w
     return Matching(tuple(wives))
 
 

@@ -30,8 +30,6 @@ from .counting import (
     count_downsets,
     count_independent_sets,
 )
-from .gale_shapley import propose_optimal
-from .core import Side
 from .geometry import AttributeSpec, EuclideanSpec, Value, induced_instance
 from .rotations import (
     Rotation,
@@ -401,14 +399,15 @@ def verify_reduction(graph: BipartiteGraph, model: str = "lists") -> ReductionRe
     n = cp.n
     inst = build_instance(graph, model)
     problems = []
+    rposet = rotation_poset(inst)
 
-    mopt = propose_optimal(inst, Side.MAN)
+    mopt = rposet.man_optimal
     expect_m = Matching(tuple(range(1, 3 * n + 1)))  # everyone with their namesake
     male_ok = mopt == expect_m
     if not male_ok:
         problems.append(f"male-optimal differs: {mopt.pairs()}")
 
-    wopt = propose_optimal(inst, Side.WOMAN)
+    wopt = rposet.woman_optimal
     wives = [0] * (3 * n)
     for x in range(1, n + 1):
         wives[x - 1] = n + cp.rho[x - 1]  # A_x with b_{rho x}
@@ -418,7 +417,6 @@ def verify_reduction(graph: BipartiteGraph, model: str = "lists") -> ReductionRe
     if not female_ok:
         problems.append(f"female-optimal differs: {wopt.pairs()}")
 
-    rposet = rotation_poset(inst)
     kinds = {}
     forms_ok = True
     for i, rot in enumerate(rposet.rotations):

@@ -13,10 +13,10 @@ one-to-one with the stable matchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import Instance, Matching, ParseError, _content_lines
+from .core import Instance, Matching, ParseError, Side, _content_lines
 from .gale_shapley import propose_optimal
-from .core import Side
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,14 @@ class Rotation:
         raise ValueError(f"man {m} not in rotation")
 
 
-def suitor(inst: Instance, matching: Matching, m: int) -> int | None:
-    """The first woman below m's spouse on his list who prefers m to her
-    current husband, or None if no such woman exists.
+def _suitor(
+    inst: Instance, wives: Sequence[int], husbands: Sequence[int], best: Sequence[int],
+    m: int,
+) -> int | None:
+    """The first woman below m's wife on his list who prefers m to her
+    husband, or None.  ``wives[m-1]`` / ``husbands[w-1]`` describe the
+    current matching and ``best[w-1]`` is w's partner in the woman-optimal
+    matching.
 
     The scan skips women who rank m above their best stable partner: no
     rotation can ever form such a pair, and ignoring them guarantees that
@@ -62,39 +67,59 @@ def suitor(inst: Instance, matching: Matching, m: int) -> int | None:
     particular nobody has one in the woman-optimal matching) and that a
     suitor's current husband has a suitor of his own.
     """
-    final = propose_optimal(inst, Side.WOMAN)
-    if matching.wife(m) == final.wife(m):
-        return None
-    husbands = matching.husbands()
-    best = final.husbands()
-    prefs = inst.men_prefs[m - 1]
+    wife = wives[m - 1]
+    if best[wife - 1] == m:
+        return None  # already at his worst stable partner
     wrank = inst._women_rank
-    start = inst.man_rank(m, matching.wife(m))  # spouse is at position start
-    for w in prefs[start:]:
-        r = wrank[w - 1][m - 1]
-        if r < wrank[w - 1][husbands[w - 1] - 1] and r >= wrank[w - 1][best[w - 1] - 1]:
+    for w in inst.men_prefs[m - 1][inst._men_rank[m - 1][wife - 1]:]:
+        row = wrank[w - 1]
+        if row[husbands[w - 1] - 1] > row[m - 1] >= row[best[w - 1] - 1]:
             return w
     return None
 
 
-def exposed_rotation_from(inst: Instance, matching: Matching, m: int) -> Rotation:
-    """Trace the rotation exposed in `matching` reachable from man m.
+def _trace_rotation(
+    inst: Instance, wives: Sequence[int], husbands: Sequence[int], best: Sequence[int],
+    m: int,
+) -> Rotation | None:
+    """The rotation exposed in the current matching reachable from man m,
+    or None if m has no suitor.
 
     Starting from (m, wife(m)), repeatedly step to the current man's suitor
     and her husband until a woman repeats; the pairs from her first
     occurrence onward form the rotation.
     """
-    husbands = matching.husbands()
-    seq: list[tuple[int, int]] = [(m, matching.wife(m))]
-    seen = {matching.wife(m): 0}
-    while True:
-        w = suitor(inst, matching, seq[-1][0])
-        if w is None:
-            raise ValueError(f"man {seq[-1][0]} has no suitor; chain broke")
-        if w in seen:
-            return Rotation(tuple(seq[seen[w]:]))
+    w = _suitor(inst, wives, husbands, best, m)
+    if w is None:
+        return None
+    seq = [(m, wives[m - 1])]
+    seen = {wives[m - 1]: 0}
+    while w not in seen:
         seen[w] = len(seq)
-        seq.append((husbands[w - 1], w))
+        h = husbands[w - 1]
+        seq.append((h, w))
+        w = _suitor(inst, wives, husbands, best, h)
+        if w is None:
+            raise ValueError(f"man {h} has no suitor; chain broke")
+    return Rotation(tuple(seq[seen[w]:]))
+
+
+def suitor(inst: Instance, matching: Matching, m: int) -> int | None:
+    """The first woman below m's spouse on his list who prefers m to her
+    current husband, or None if no such woman exists.  Women who rank m
+    above their best stable partner are skipped, so a man holding his
+    worst stable partner has none."""
+    best = propose_optimal(inst, Side.WOMAN).husbands()
+    return _suitor(inst, matching.wives, matching.husbands(), best, m)
+
+
+def exposed_rotation_from(inst: Instance, matching: Matching, m: int) -> Rotation:
+    """Trace the rotation exposed in `matching` reachable from man m."""
+    best = propose_optimal(inst, Side.WOMAN).husbands()
+    rot = _trace_rotation(inst, matching.wives, matching.husbands(), best, m)
+    if rot is None:
+        raise ValueError(f"man {m} has no suitor; chain broke")
+    return rot
 
 
 def apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
@@ -124,61 +149,28 @@ def find_all_rotations(
     order = man_order if man_order is not None else tuple(range(1, n + 1))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("man_order must be a permutation of 1..n")
-    wives = list(propose_optimal(inst, Side.MAN).wives)
-    final = propose_optimal(inst, Side.WOMAN).wives
-    husbands = [0] * (n + 1)
-    for m, w in enumerate(wives, start=1):
-        husbands[w] = m
-    best = [0] * (n + 1)  # best[w] = w's partner in the woman-optimal matching
-    for m, w in enumerate(final, start=1):
-        best[w] = m
-    men_prefs = inst.men_prefs
-    mrank = inst._men_rank
-    wrank = inst._women_rank
-
-    def find_suitor(m: int) -> int | None:
-        if wives[m - 1] == final[m - 1]:
-            return None
-        prefs = men_prefs[m - 1]
-        row = wrank
-        for w in prefs[mrank[m - 1][wives[m - 1] - 1]:]:
-            r = row[w - 1]
-            if r[m - 1] < r[husbands[w] - 1] and r[m - 1] >= r[best[w] - 1]:
-                return w
-        return None
-
+    mopt = propose_optimal(inst, Side.MAN)
+    wopt = propose_optimal(inst, Side.WOMAN)
+    wives = list(mopt.wives)
+    husbands = list(mopt.husbands())
+    best = wopt.husbands()
     rotations: list[Rotation] = []
-    matchings = [Matching(tuple(wives))]
+    matchings = [mopt]
     while True:
-        progressed = False
         for m in order:
-            if wives[m - 1] == final[m - 1]:
-                continue  # already at his final partner; never moves again
-            w0 = find_suitor(m)
-            if w0 is None:
-                continue
-            # trace the rotation from m
-            seq = [(m, wives[m - 1])]
-            seen = {wives[m - 1]: 0}
-            w = w0
-            while w not in seen:
-                seen[w] = len(seq)
-                seq.append((husbands[w], w))
-                w = find_suitor(husbands[w])
-                assert w is not None
-            rot = Rotation(tuple(seq[seen[w]:]))
-            k = len(rot.pairs)
-            for idx, (mi, wi) in enumerate(rot.pairs):
-                nw = rot.pairs[(idx + 1) % k][1]
-                wives[mi - 1] = nw
-                husbands[nw] = mi
-            rotations.append(rot)
-            matchings.append(Matching(tuple(wives)))
-            progressed = True
+            rot = _trace_rotation(inst, wives, husbands, best, m)
+            if rot is not None:
+                break
+        else:
             break
-        if not progressed:
-            break
-    if wives != list(final):
+        k = len(rot.pairs)
+        for idx, (mi, _) in enumerate(rot.pairs):
+            nw = rot.pairs[(idx + 1) % k][1]
+            wives[mi - 1] = nw
+            husbands[nw - 1] = mi
+        rotations.append(rot)
+        matchings.append(Matching(tuple(wives)))
+    if matchings[-1] != wopt:
         raise AssertionError("rotation elimination did not reach woman-optimal")
     return rotations, matchings
 
@@ -221,11 +213,14 @@ class RotationPoset:
 
     ``below[i]`` is a bitmask over rotation indices j that must be
     eliminated before rotation i (the strict down-set of i, transitively
-    closed).
+    closed).  ``man_optimal`` and ``woman_optimal`` are the matchings in
+    which no rotation and every rotation has been eliminated.
     """
 
     rotations: tuple[Rotation, ...]
     below: tuple[int, ...]
+    man_optimal: Matching
+    woman_optimal: Matching
 
     def __len__(self) -> int:
         return len(self.rotations)
@@ -245,7 +240,7 @@ class RotationPoset:
 def rotation_poset(
     inst: Instance, man_order: tuple[int, ...] | None = None
 ) -> RotationPoset:
-    rots, _ = find_all_rotations(inst, man_order)
+    rots, path = find_all_rotations(inst, man_order)
     k = len(rots)
     direct = [0] * k  # direct[j]: mask of i explicitly preceding j
     men_sets = [set(r.men()) for r in rots]
@@ -265,7 +260,7 @@ def rotation_poset(
             if mask >> i & 1:
                 acc |= below[i]
         below[j] = acc
-    return RotationPoset(tuple(rots), tuple(below))
+    return RotationPoset(tuple(rots), tuple(below), path[0], path[-1])
 
 
 def hasse_diagram(poset: RotationPoset) -> list[tuple[int, int]]:

@@ -18,6 +18,7 @@ from conftest import (
     GRAPH_4X5,
     all_small_bipartite,
     check_structure,
+    independent_sets_oracle,
     random_1attribute,
     random_bipartite,
     random_instance,
@@ -78,7 +79,9 @@ def test_2_lists_reduction_preserves_the_count():
     graphs += [random_bipartite(rng, 12) for _ in range(100)]
     for g in graphs:
         inst = touch(gen_partial_lists(g))
-        assert count_stable_matchings(inst) == count_independent_sets(g)
+        want = count_independent_sets(g)
+        assert want == independent_sets_oracle(g)
+        assert count_stable_matchings(inst) == want
     assert time.monotonic() - start < 300
 
 
@@ -88,6 +91,7 @@ def test_3_geometric_routes_match():
     for _ in range(50):
         g = random_bipartite(rng, 8, min_edges=2)
         want = count_independent_sets(g)
+        assert want == independent_sets_oracle(g)
         for build in (
             lambda: instance_from_dot(gen_3attribute(g)),
             lambda: instance_from_euclidean(gen_2euclidean(g)),
@@ -106,6 +110,7 @@ def test_4_fixed_graph_fixtures_and_closed_forms():
 
     report = verify_reduction(GRAPH_4X5, "lists")
     assert report.all_ok, str(report)
+    assert report.is_count == independent_sets_oracle(GRAPH_4X5)
     touch(gen_partial_lists(GRAPH_4X5))
 
     rng = random.Random(20260804)

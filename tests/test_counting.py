@@ -1,9 +1,16 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from conftest import GRAPH_3X4, GRAPH_4X5, random_instance
+from conftest import (
+    GRAPH_3X4,
+    GRAPH_4X5,
+    independent_sets_oracle,
+    random_bipartite,
+    random_instance,
+)
 from stablecount import (
     BipartiteGraph,
     Instance,
@@ -24,7 +31,9 @@ from stablecount import (
     poset_from_bipartite,
     propose_optimal,
     rotation_poset,
+    verify_reduction,
 )
+from stablecount import gale_shapley
 
 
 def chain(k):
@@ -122,12 +131,11 @@ def test_downset_extremes_map_to_optima():
         inst = random_instance(rng, rng.randint(1, 6))
         rposet = rotation_poset(inst)
         full = frozenset(range(len(rposet)))
-        assert matching_from_downset(inst, rposet, frozenset()) == propose_optimal(
-            inst, Side.MAN
-        )
-        assert matching_from_downset(inst, rposet, full) == propose_optimal(
-            inst, Side.WOMAN
-        )
+        mopt = propose_optimal(inst, Side.MAN)
+        wopt = propose_optimal(inst, Side.WOMAN)
+        assert (rposet.man_optimal, rposet.woman_optimal) == (mopt, wopt)
+        assert matching_from_downset(rposet, frozenset()) == mopt
+        assert matching_from_downset(rposet, full) == wopt
 
 
 def test_enumerate_stable_equals_brute_force():
@@ -138,6 +146,28 @@ def test_enumerate_stable_equals_brute_force():
         assert got == set(brute_force_stable_matchings(inst))
         assert propose_optimal(inst, Side.MAN) in got
         assert propose_optimal(inst, Side.WOMAN) in got
+
+
+def test_pipeline_solves_each_side_once(monkeypatch):
+    original = gale_shapley.propose_optimal
+    solves = []
+
+    def counted(inst, side=Side.MAN):
+        solves.append(side)
+        return original(inst, side)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stablecount" and getattr(module, "propose_optimal", None) is original:
+            monkeypatch.setattr(module, "propose_optimal", counted)
+    inst = random_instance(random.Random(60), 7)
+    for run in (
+        lambda: list(enumerate_stable_matchings(inst)),
+        lambda: count_stable_matchings(inst),
+        lambda: verify_reduction(GRAPH_3X4),
+    ):
+        solves.clear()
+        run()
+        assert sorted(solves, key=lambda side: side.value) == [Side.MAN, Side.WOMAN]
 
 
 def test_brute_force_rejects_large_n():
@@ -157,20 +187,35 @@ def test_graph_rejects_duplicate_edge():
 
 
 def test_independent_sets_single_edge():
-    assert count_independent_sets(BipartiteGraph(1, 1, ((1, 1),))) == 3
+    g = BipartiteGraph(1, 1, ((1, 1),))
+    assert count_independent_sets(g) == independent_sets_oracle(g) == 3
 
 
 def test_independent_sets_star():
     for k in range(1, 7):
         star = BipartiteGraph(1, k, tuple((1, j) for j in range(1, k + 1)))
-        assert count_independent_sets(star) == 2**k + 1
+        assert count_independent_sets(star) == independent_sets_oracle(star) == 2**k + 1
 
 
 def test_independent_sets_fixed_graphs():
-    assert count_independent_sets(GRAPH_3X4) == 29
+    assert count_independent_sets(GRAPH_3X4) == independent_sets_oracle(GRAPH_3X4) == 29
     assert count_independent_sets(GRAPH_4X5) == brute_force_independent_sets(
         GRAPH_4X5
     )
+
+
+def test_independent_sets_match_oracle_up_to_40_vertices():
+    rng = random.Random(61)
+    for _ in range(40):
+        g = random_bipartite(rng, 30)
+        assert count_independent_sets(g) == independent_sets_oracle(g)
+    for n1, n2 in ((20, 20), (17, 23), (10, 30)):
+        # one edge at every vertex of each side, then n1 more at random
+        edges = {(u, rng.randint(1, n2)) for u in range(1, n1 + 1)}
+        edges |= {(rng.randint(1, n1), v) for v in range(1, n2 + 1)}
+        edges |= {(rng.randint(1, n1), rng.randint(1, n2)) for _ in range(n1)}
+        g = BipartiteGraph(n1, n2, tuple(edges))
+        assert count_independent_sets(g) == independent_sets_oracle(g)
 
 
 def test_independent_sets_match_subset_oracle():
@@ -184,7 +229,7 @@ def test_independent_sets_match_subset_oracle():
             g = BipartiteGraph(n1, n2, edges)
         except ValueError:
             continue
-        assert count_independent_sets(g, check=False) == brute_force_independent_sets(g)
+        assert count_independent_sets(g) == brute_force_independent_sets(g)
 
 
 def test_bipartite_text_round_trip():

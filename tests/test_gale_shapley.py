@@ -44,6 +44,15 @@ def test_two_by_two_optima_differ():
     assert propose_optimal(TWO_STABLE, Side.WOMAN) == Matching((2, 1))
 
 
+def test_woman_side_equals_transposed_man_side():
+    rng = random.Random(11)
+    corpus = [random_instance(rng, n) for n in range(1, 8) for _ in range(20)]
+    corpus += [random_instance(rng, 60) for _ in range(4)]
+    for inst in corpus:
+        old_route = propose_optimal(inst.transposed(), Side.MAN).transposed()
+        assert propose_optimal(inst, Side.WOMAN) == old_route
+
+
 def test_blocking_matches_definitional_oracle():
     rng = random.Random(7)
     for _ in range(60):

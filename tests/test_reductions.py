@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import GRAPH_3X4, GRAPH_4X5, random_bipartite
+from conftest import GRAPH_3X4, GRAPH_4X5, independent_sets_oracle, random_bipartite
 from stablecount import (
     enumerate_stable_matchings,
     BipartiteGraph,
@@ -205,7 +205,9 @@ def test_count_equals_independent_sets():
     for g in [SINGLE_EDGE, GRAPH_3X4, GRAPH_4X5] + [
         random_bipartite(rng, 9) for _ in range(10)
     ]:
-        assert count_stable_matchings(gen_partial_lists(g)) == count_independent_sets(g)
+        want = count_independent_sets(g)
+        assert want == independent_sets_oracle(g)
+        assert count_stable_matchings(gen_partial_lists(g)) == want
 
 
 def test_count_independent_of_tau():
@@ -213,6 +215,7 @@ def test_count_independent_of_tau():
     g = GRAPH_3X4
     n = edge_cycles(g).n
     want = count_independent_sets(g)
+    assert want == independent_sets_oracle(g)
     for _ in range(10):
         tau = tuple(rng.sample(range(1, n + 1), n))
         inst = gen_partial_lists(g, tau=tau)
@@ -260,7 +263,9 @@ def test_euclidean_counts_on_small_graphs():
     rng = random.Random(137)
     for g in [SINGLE_EDGE] + [random_bipartite(rng, 6) for _ in range(5)]:
         inst = induced_instance(gen_2euclidean(g))
-        assert count_stable_matchings(inst) == count_independent_sets(g)
+        want = count_independent_sets(g)
+        assert want == independent_sets_oracle(g)
+        assert count_stable_matchings(inst) == want
 
 
 def test_verify_single_edge():
@@ -281,11 +286,13 @@ def test_verify_two_edge_path_all_models():
     for model in ("lists", "attr3", "euclid2"):
         report = verify_reduction(path, model)
         assert report.all_ok, str(report)
+        assert report.is_count == independent_sets_oracle(path)
 
 
 def test_verify_fixed_graphs():
     report = verify_reduction(GRAPH_4X5, "lists")
     assert report.all_ok, str(report)
+    assert report.is_count == independent_sets_oracle(GRAPH_4X5)
     report = verify_reduction(GRAPH_3X4, "attr3")
     assert report.all_ok, str(report)
     assert report.sm_count == 29
