@@ -195,6 +195,7 @@ def parse_instance(text: str) -> Instance:
     if n < 1:
         raise ParseError("n must be positive", lineno)
 
+    full = set(range(1, n + 1))
     men: dict[int, tuple[int, ...]] = {}
     women: dict[int, tuple[int, ...]] = {}
     for lineno, line in lines:
@@ -204,7 +205,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError("expected 'm i: ...' or 'w j: ...'", lineno)
         try:
             idx = int(fields[1])
-            prefs = tuple(int(tok) for tok in rest.split())
+            prefs = tuple(map(int, rest.split()))
         except ValueError:
             raise ParseError("indices must be integers", lineno) from None
         if not 1 <= idx <= n:
@@ -212,7 +213,7 @@ def parse_instance(text: str) -> Instance:
         target = men if fields[0] == "m" else women
         if idx in target:
             raise ParseError(f"duplicate list for {fields[0]} {idx}", lineno)
-        if sorted(prefs) != list(range(1, n + 1)):
+        if len(prefs) != n or set(prefs) != full:
             raise ParseError(
                 f"preference list must be a permutation of 1..{n}", lineno
             )

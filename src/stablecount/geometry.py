@@ -13,14 +13,19 @@ Three models induce preference lists from coordinates:
 Coordinates are exact: rationals, powers, and the values cos(2*pi*q) /
 sin(2*pi*q) for rational q, closed under products and sums.  Comparisons
 are certified — Euclidean distances are compared through exact rational
-arithmetic, and dot products through interval arithmetic at increasing
-precision.  If two scores cannot be separated the construction refuses to
+arithmetic, and dot products through interval arithmetic.  Each dot-product
+score is built once and enclosed once in a 128-bit interval; scores whose
+enclosures do not overlap are ordered by them, and only the runs of
+overlapping enclosures are sorted by exact pairwise comparison, which
+raises the precision up to a cap (STABLECOUNT_MAX_BITS, 4096 bits by
+default).  If two scores cannot be separated the construction refuses to
 guess and raises TieDetected.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -123,11 +128,7 @@ class Value:
         return Value(tuple((-c, f) for c, f in self.terms))
 
     def __mul__(self, other: "Value") -> "Value":
-        out = []
-        for c1, f1 in self.terms:
-            for c2, f2 in other.terms:
-                out.append((c1 * c2, tuple(sorted(f1 + f2))))
-        return Value(_merge(iter(out)))
+        return Value(_merge(_product_terms(self, other)))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,6 +146,19 @@ class Value:
 
 Value.ZERO = Value(())
 Value.ONE = Value.rational(1)
+
+
+def _product_terms(a: Value, b: Value) -> Iterator[Term]:
+    # the unmerged terms of a * b
+    for c1, f1 in a.terms:
+        for c2, f2 in b.terms:
+            yield c1 * c2, tuple(sorted(f1 + f2))
+
+
+def _dot(u: Sequence[Value], v: Sequence[Value]) -> Value:
+    # one merge over every coordinate product gives the same terms as
+    # summing the merged products coordinate by coordinate
+    return Value(_merge(itertools.chain.from_iterable(map(_product_terms, u, v))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,7 +337,28 @@ def _sorted_by_score(
             raise TieDetected(f"candidates {a} and {b} score exactly alike")
         return -c
 
-    return tuple(sorted(range(1, len(scores) + 1), key=functools.cmp_to_key(cmp)))
+    key = functools.cmp_to_key(cmp)
+    candidates = range(1, len(scores) + 1)
+    cap = max_bits if max_bits is not None else _max_bits()
+    if cap < DEFAULT_BITS:
+        # no enclosure may be taken above the cap, so every pair is compared
+        return tuple(sorted(candidates, key=key))
+
+    # Enclose each score once.  Going down by upper endpoint, a candidate
+    # whose upper endpoint lies below every lower endpoint seen so far is
+    # certified below all earlier candidates and starts a new run; only the
+    # runs of overlapping enclosures need exact comparisons.  Equal scores
+    # share a point, so an exact tie always falls inside one run.
+    boxes = [_value_interval(score.terms, DEFAULT_BITS) for score in scores]
+    runs: list[list[int]] = []
+    floor = None
+    for c in sorted(candidates, key=lambda c: boxes[c - 1].b, reverse=True):
+        box = boxes[c - 1]
+        if floor is None or box.b < floor:
+            runs.append([])
+        runs[-1].append(c)
+        floor = box.a if floor is None else min(floor, box.a)
+    return tuple(c for run in runs for c in sorted(run, key=key))
 
 
 def instance_from_dot(spec: AttributeSpec, max_bits: int | None = None) -> Instance:
@@ -331,19 +366,13 @@ def instance_from_dot(spec: AttributeSpec, max_bits: int | None = None) -> Insta
 
     Raises TieDetected if any person's scores cannot be strictly ordered.
     """
-    def dot(u: Sequence[Value], v: Sequence[Value]) -> Value:
-        total = Value.ZERO
-        for x, y in zip(u, v):
-            total = total + x * y
-        return total
-
     men_lists = []
     for pref in spec.men_pref:
-        scores = [dot(pref, pos) for pos in spec.women_pos]
+        scores = [_dot(pref, pos) for pos in spec.women_pos]
         men_lists.append(_sorted_by_score(scores, max_bits))
     women_lists = []
     for pref in spec.women_pref:
-        scores = [dot(pref, pos) for pos in spec.men_pos]
+        scores = [_dot(pref, pos) for pos in spec.men_pos]
         women_lists.append(_sorted_by_score(scores, max_bits))
     return Instance(spec.n, tuple(men_lists), tuple(women_lists))
 

@@ -1,5 +1,6 @@
 """Shared helpers: random generators and structural invariant checks."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,10 @@ from stablecount import (
     Matching,
     OneAttributeSpec,
     Side,
+    TieDetected,
     apply_rotation,
     brute_force_independent_sets,
+    compare_values,
     eliminated_pairs,
     enumerate_stable_matchings,
     find_all_rotations,
@@ -19,6 +22,7 @@ from stablecount import (
     propose_optimal,
     rotation_poset,
 )
+from stablecount.geometry import Value
 
 
 def random_instance(rng: random.Random, n: int) -> Instance:
@@ -119,6 +123,38 @@ def independent_sets_oracle(graph: BipartiteGraph) -> int:
     if graph.size <= 16:
         return brute_force_independent_sets(graph)
     return one_sided_independent_sets(graph)
+
+
+def pairwise_dot(u, v) -> Value:
+    """A dot product summed coordinate by coordinate, one merge per step."""
+    total = Value.ZERO
+    for x, y in zip(u, v):
+        total = total + x * y
+    return total
+
+
+def dot_instance_oracle(spec) -> Instance:
+    """The instance a dot-product spec induces, with no enclosures: every
+    list is sorted by certified pairwise comparison of its scores."""
+
+    def ranking(pref, positions):
+        scores = [pairwise_dot(pref, pos) for pos in positions]
+
+        def cmp(a, b):
+            c = compare_values(scores[a - 1], scores[b - 1])
+            if c == 0:
+                raise TieDetected(f"candidates {a} and {b} score exactly alike")
+            return -c
+
+        return tuple(
+            sorted(range(1, len(scores) + 1), key=functools.cmp_to_key(cmp))
+        )
+
+    return Instance(
+        spec.n,
+        tuple(ranking(p, spec.women_pos) for p in spec.men_pref),
+        tuple(ranking(p, spec.men_pos) for p in spec.women_pref),
+    )
 
 
 # Two fixed 8-edge graphs reused throughout the suite.  The 3x4 one has

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_1attribute
+import stablecount.geometry
+from conftest import (
+    GRAPH_3X4,
+    dot_instance_oracle,
+    pairwise_dot,
+    random_1attribute,
+    random_bipartite,
+)
 from stablecount import (
     AttributeSpec,
     EuclideanSpec,
@@ -15,6 +22,7 @@ from stablecount import (
     count_1attribute,
     find_all_rotations,
     format_geometric,
+    gen_3attribute,
     induced_instance,
     instance_from_1attribute,
     instance_from_dot,
@@ -22,7 +30,7 @@ from stablecount import (
     parse_geometric,
     rotation_poset,
 )
-from stablecount.geometry import Value, format_value, parse_value
+from stablecount.geometry import Value, _dot, format_value, parse_value
 
 
 F = Fraction
@@ -120,6 +128,97 @@ def test_dot_model_detects_exact_tie():
     )
     with pytest.raises(TieDetected):
         instance_from_dot(spec)
+
+
+def test_dot_sort_matches_pairwise_oracle():
+    rng = random.Random(20261017)
+    graphs = [GRAPH_3X4] + [random_bipartite(rng, 10, min_edges=2) for _ in range(6)]
+    for g in graphs:
+        spec = gen_3attribute(g)
+        try:
+            want = dot_instance_oracle(spec)
+        except TieDetected:
+            with pytest.raises(TieDetected):
+                instance_from_dot(spec)
+        else:
+            assert instance_from_dot(spec) == want
+
+
+def test_single_merge_dot_matches_pairwise_sum():
+    rng = random.Random(7)
+
+    def random_value():
+        total = Value.ZERO
+        for _ in range(rng.randint(0, 3)):
+            term = Value.rational(F(rng.randint(-5, 5), rng.randint(1, 4)))
+            for _ in range(rng.randint(0, 3)):
+                kind = rng.choice(("cos", "sin"))
+                term = term * Value.trig(kind, F(rng.randint(1, 6), 7))
+            total = total + term
+        return total
+
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        u = [random_value() for _ in range(k)]
+        v = [random_value() for _ in range(k)]
+        assert _dot(u, v).terms == pairwise_dot(u, v).terms
+
+
+def _ranked_by_one_attribute(women):
+    # every man weights the single attribute by 1, so men rank the women by
+    # descending position
+    one = (Value.rational(1),)
+    n = len(women)
+    return AttributeSpec(
+        1,
+        n,
+        men_pos=tuple((Value.rational(i),) for i in range(1, n + 1)),
+        men_pref=(one,) * n,
+        women_pos=tuple((w,) for w in women),
+        women_pref=(one,) * n,
+    )
+
+
+def test_dot_sort_compares_inside_overlapping_enclosures(monkeypatch):
+    calls = []
+    exact = stablecount.geometry.compare_values
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(stablecount.geometry, "compare_values", counted)
+
+    def cos(q):
+        return Value.trig("cos", F(1, q))
+
+    # 4**80 + cos(1/q): at 128 bits every enclosure is wider than the gaps
+    # between the scores, so only exact comparisons can order them
+    big = Value.rational(4**80)
+    near = [big + cos(q) for q in (7, 5, 11, 9)]
+    inst = instance_from_dot(_ranked_by_one_attribute(near))
+    assert inst.men_prefs[0] == (3, 4, 1, 2)
+    assert calls
+
+    # this score is cos(1/5) ~ 0.31, but at 128 bits its enclosure spans
+    # more than 10**22 on each side, so it overlaps both points below it
+    wide = (
+        Value.rational(2**200) * (cos(7) + Value.trig("cos", F(2, 7)) + Value.trig("cos", F(3, 7)))
+        + Value.rational(2**199)
+        + cos(5)
+    )
+    inst = instance_from_dot(
+        _ranked_by_one_attribute([wide, Value.rational(2), Value.rational(1)])
+    )
+    assert inst.men_prefs[0] == (2, 3, 1)
+
+    with pytest.raises(TieDetected, match="score exactly alike"):
+        instance_from_dot(_ranked_by_one_attribute(near[:3] + near[1:2]))
+
+
+def test_dot_sort_takes_no_enclosure_above_cap():
+    with pytest.raises(TieDetected):
+        instance_from_dot(gen_3attribute(GRAPH_3X4), max_bits=64)
 
 
 def test_euclidean_collinear_by_absolute_difference():
