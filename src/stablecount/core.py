@@ -48,26 +48,30 @@ def woman(j: int) -> PersonId:
     return PersonId(Side.WOMAN, j)
 
 
-def _check_prefs(prefs: tuple[tuple[int, ...], ...], n: int, label: str) -> None:
-    if len(prefs) != n:
-        raise ValueError(f"expected {n} {label} preference lists, got {len(prefs)}")
-    full = frozenset(range(1, n + 1))
-    for i, lst in enumerate(prefs, start=1):
-        if len(lst) != n or set(lst) != full:
+def _checked_ranks(
+    prefs: Sequence[Sequence[int]], n: int, label: str
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The lists as tuples and their rank tables, each list checked while
+    its row is filled.  ``rank[i-1][j-1]`` is the 1-based position of j on
+    i's list.  A list of n entries, none below 1, that fills every slot
+    1..n of the row without an index error is a permutation of 1..n."""
+    lists = tuple(tuple(p) for p in prefs)
+    if len(lists) != n:
+        raise ValueError(f"expected {n} {label} preference lists, got {len(lists)}")
+    ranks = []
+    for i, lst in enumerate(lists, start=1):
+        row = [0] * (n + 1)  # row[j]: position of j; slot 0 stays empty
+        try:
+            for pos, j in enumerate(lst, start=1):
+                row[j] = pos
+        except (IndexError, TypeError):
+            row = None
+        if row is None or len(lst) != n or min(lst) < 1 or row.count(0) != 1:
             raise ValueError(
                 f"{label} {i}: preference list must be a permutation of 1..{n}"
             )
-
-
-def _rank_tables(prefs: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    # rank[i-1][j-1] = 1-based position of person j on i's list
-    tables = []
-    for lst in prefs:
-        row = [0] * len(lst)
-        for pos, j in enumerate(lst, start=1):
-            row[j - 1] = pos
-        tables.append(tuple(row))
-    return tuple(tables)
+        ranks.append(tuple(row[1:]))
+    return lists, tuple(ranks)
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,15 @@ class Instance:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("instance needs at least one person per side")
-        men = tuple(tuple(p) for p in self.men_prefs)
-        women = tuple(tuple(p) for p in self.women_prefs)
-        _check_prefs(men, self.n, "man")
-        _check_prefs(women, self.n, "woman")
+        men, men_rank = _checked_ranks(self.men_prefs, self.n, "man")
+        women, women_rank = _checked_ranks(self.women_prefs, self.n, "woman")
+        self._set(men, women, men_rank, women_rank)
+
+    def _set(self, men, women, men_rank, women_rank) -> None:
         object.__setattr__(self, "men_prefs", men)
         object.__setattr__(self, "women_prefs", women)
-        object.__setattr__(self, "_men_rank", _rank_tables(men))
-        object.__setattr__(self, "_women_rank", _rank_tables(women))
+        object.__setattr__(self, "_men_rank", men_rank)
+        object.__setattr__(self, "_women_rank", women_rank)
 
     # -- rank / preference queries ------------------------------------
 
@@ -111,8 +116,13 @@ class Instance:
         return self.rank(person, a) < self.rank(person, b)
 
     def transposed(self) -> "Instance":
-        """The same market with the roles of men and women swapped."""
-        return Instance(self.n, self.women_prefs, self.men_prefs)
+        """The same market with the roles of men and women swapped.  The
+        lists and rank tables are already checked, so they are swapped
+        as they are."""
+        out = object.__new__(Instance)
+        object.__setattr__(out, "n", self.n)
+        out._set(self.women_prefs, self.men_prefs, self._women_rank, self._men_rank)
+        return out
 
     def people(self) -> Iterator[PersonId]:
         for i in range(1, self.n + 1):
@@ -196,6 +206,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("n must be positive", lineno)
 
     full = set(range(1, n + 1))
+    numeral = {str(i): i for i in full}
     men: dict[int, tuple[int, ...]] = {}
     women: dict[int, tuple[int, ...]] = {}
     for lineno, line in lines:
@@ -203,9 +214,18 @@ def parse_instance(text: str) -> Instance:
         fields = head.split()
         if not sep or len(fields) != 2 or fields[0] not in ("m", "w"):
             raise ParseError("expected 'm i: ...' or 'w j: ...'", lineno)
+        tokens = rest.split()
         try:
             idx = int(fields[1])
-            prefs = tuple(map(int, rest.split()))
+            try:
+                # each of 1..n written once as its canonical numeral: every
+                # token converts by lookup and none is left over
+                left = numeral.copy()
+                prefs = tuple(map(left.pop, tokens))
+                is_perm = not left
+            except KeyError:  # any other token converts as int() reads it
+                prefs = tuple(map(int, tokens))
+                is_perm = len(prefs) == n and set(prefs) == full
         except ValueError:
             raise ParseError("indices must be integers", lineno) from None
         if not 1 <= idx <= n:
@@ -213,7 +233,7 @@ def parse_instance(text: str) -> Instance:
         target = men if fields[0] == "m" else women
         if idx in target:
             raise ParseError(f"duplicate list for {fields[0]} {idx}", lineno)
-        if len(prefs) != n or set(prefs) != full:
+        if not is_perm:
             raise ParseError(
                 f"preference list must be a permutation of 1..{n}", lineno
             )

@@ -10,13 +10,14 @@ counting stable matchings as hard as counting bipartite independent sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Instance, Matching, ParseError, _content_lines
 from .gale_shapley import is_stable
-from .rotations import RotationPoset, rotation_poset
+from .rotations import RotationPoset, _bits, rotation_poset
 
 
 class SizeLimitError(ValueError):
@@ -42,58 +43,68 @@ class Poset:
 
     @classmethod
     def from_below(cls, below: tuple[int, ...]) -> "Poset":
-        size = len(below)
-        above = [0] * size
-        for x in range(size):
-            for y in range(size):
-                if below[y] >> x & 1:
-                    above[x] |= 1 << y
-        return cls(size, tuple(above), tuple(below))
+        above = [0] * len(below)
+        for y, mask in enumerate(below):
+            for x in _bits(mask):
+                above[x] |= 1 << y
+        return cls(len(below), tuple(above), tuple(below))
 
     @classmethod
     def from_rotations(cls, rposet: RotationPoset) -> "Poset":
         return cls.from_below(rposet.below)
 
+    @functools.cached_property
+    def _downsets(self) -> int:
+        """The number of downsets; see `count_downsets`."""
+        above = self.above
+        below = self.below
+        memo: dict[int, int] = {}
+
+        def count(mask: int) -> int:
+            if mask == 0:
+                return 1
+            cached = memo.get(mask)
+            if cached is not None:
+                return cached
+            m = mask
+            x = (m & -m).bit_length() - 1
+            while below[x] & mask:
+                m &= m - 1  # not minimal within mask; try next element
+                x = (m & -m).bit_length() - 1
+            result = count(mask & ~(above[x] | 1 << x)) + count(mask & ~(1 << x))
+            memo[mask] = result
+            return result
+
+        return count((1 << self.size) - 1)
+
 
 def count_downsets(poset: Poset, max_elements: int = 64) -> int:
-    """The number of down-closed subsets of the poset.
+    """The number of down-closed subsets of the poset, refused above
+    `max_elements` elements.
 
     Splits on a minimal element x: downsets avoiding x avoid everything
     above it, downsets containing x are free on the rest.  Memoised on the
-    bitmask of elements still in play.
+    bitmask of elements still in play.  The count is kept on the poset, so
+    `enumerate_downsets` on a counted poset does not count it again.
     """
+    return _downset_count(poset, max_elements)
+
+
+def _downset_count(poset: Poset, max_elements: int) -> int:
     if poset.size > max_elements:
         raise SizeLimitError(
             f"size bound exceeded: poset has {poset.size} > {max_elements} elements"
         )
-    above = poset.above
-    below = poset.below
-    memo: dict[int, int] = {}
-
-    def count(mask: int) -> int:
-        if mask == 0:
-            return 1
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        m = mask
-        x = (m & -m).bit_length() - 1
-        while below[x] & mask:
-            m &= m - 1  # not minimal within mask; try next element
-            x = (m & -m).bit_length() - 1
-        result = count(mask & ~(above[x] | 1 << x)) + count(mask & ~(1 << x))
-        memo[mask] = result
-        return result
-
-    return count((1 << poset.size) - 1)
+    return poset._downsets
 
 
 def enumerate_downsets(
     poset: Poset, limit: int | None = None, cap: int = 10**6
 ) -> Iterator[frozenset[int]]:
     """Yield every downset in a deterministic order (at most `limit` of
-    them if given).  Refuses posets with more than `cap` downsets."""
-    if count_downsets(poset) > cap:
+    them if given).  Refuses posets with more than `cap` downsets, and
+    those `count_downsets` refuses by default."""
+    if _downset_count(poset, 64) > cap:
         raise SizeLimitError(f"size bound exceeded: more than {cap} downsets")
     above = poset.above
     below = poset.below

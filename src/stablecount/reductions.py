@@ -36,7 +36,6 @@ from .rotations import (
     RotationPoset,
     hasse_diagram,
     rotation_poset,
-    truncated_lists,
 )
 
 

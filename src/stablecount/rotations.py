@@ -13,7 +13,7 @@ one-to-one with the stable matchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Instance, Matching, ParseError, Side, _content_lines
 from .gale_shapley import propose_optimal
@@ -54,54 +54,72 @@ class Rotation:
 
 def _suitor(
     inst: Instance, wives: Sequence[int], husbands: Sequence[int], best: Sequence[int],
-    m: int,
+    m: int, start: int,
 ) -> int | None:
-    """The first woman below m's wife on his list who prefers m to her
-    husband, or None.  ``wives[m-1]`` / ``husbands[w-1]`` describe the
-    current matching and ``best[w-1]`` is w's partner in the woman-optimal
-    matching.
+    """The 0-based position of m's suitor on his list, or None if he has
+    none.  His suitor is the first woman below his wife who prefers m to
+    her husband; the scan begins at position `start`, which lies below his
+    wife.  ``wives[m-1]`` / ``husbands[w-1]`` describe the current matching
+    and ``best[w-1]`` is w's partner in the woman-optimal matching.
 
     The scan skips women who rank m above their best stable partner: no
     rotation can ever form such a pair, and ignoring them guarantees that
     a man already holding his worst stable partner has no suitor (in
     particular nobody has one in the woman-optimal matching) and that a
-    suitor's current husband has a suitor of his own.
+    suitor's current husband has a suitor of his own.  Women only trade
+    up while rotations are eliminated, so a woman the scan passes over is
+    never m's suitor later; a walk resumes each man's scan where it
+    stopped.
     """
-    wife = wives[m - 1]
-    if best[wife - 1] == m:
+    if best[wives[m - 1] - 1] == m:
         return None  # already at his worst stable partner
+    prefs = inst.men_prefs[m - 1]
     wrank = inst._women_rank
-    for w in inst.men_prefs[m - 1][inst._men_rank[m - 1][wife - 1]:]:
+    for pos in range(start, inst.n):
+        w = prefs[pos]
         row = wrank[w - 1]
         if row[husbands[w - 1] - 1] > row[m - 1] >= row[best[w - 1] - 1]:
-            return w
+            return pos
     return None
 
 
 def _trace_rotation(
     inst: Instance, wives: Sequence[int], husbands: Sequence[int], best: Sequence[int],
-    m: int,
-) -> Rotation | None:
-    """The rotation exposed in the current matching reachable from man m,
-    or None if m has no suitor.
+    chain: dict[int, int], start: list[int],
+) -> Rotation:
+    """Extend the suitor path `chain` until it closes, cut the cycle off
+    and return it as a rotation exposed in the current matching.
 
-    Starting from (m, wife(m)), repeatedly step to the current man's suitor
-    and her husband until a woman repeats; the pairs from her first
-    occurrence onward form the rotation.
+    ``chain`` maps each woman on the path to her husband, in path order:
+    each man's suitor is the next woman.  From the last man, step to his
+    suitor and her husband until the suitor is already on the path; the
+    pairs from her onward form the rotation and leave the path, and what
+    remains is still a suitor path once the rotation is eliminated.
+    ``start[h-1]`` is where man h's suitor scan begins; each scan made here
+    records where it stopped.
     """
-    w = _suitor(inst, wives, husbands, best, m)
-    if w is None:
-        return None
-    seq = [(m, wives[m - 1])]
-    seen = {wives[m - 1]: 0}
-    while w not in seen:
-        seen[w] = len(seq)
-        h = husbands[w - 1]
-        seq.append((h, w))
-        w = _suitor(inst, wives, husbands, best, h)
-        if w is None:
+    w, h = next(reversed(chain.items()))
+    while True:
+        pos = _suitor(inst, wives, husbands, best, h, start[h - 1])
+        if pos is None:
             raise ValueError(f"man {h} has no suitor; chain broke")
-    return Rotation(tuple(seq[seen[w]:]))
+        start[h - 1] = pos
+        w = inst.men_prefs[h - 1][pos]
+        if w in chain:
+            break
+        h = husbands[w - 1]
+        chain[w] = h
+    cycle = []
+    while True:
+        v, x = chain.popitem()
+        cycle.append((x, v))
+        if v == w:
+            return Rotation(tuple(reversed(cycle)))
+
+
+def _scan_starts(inst: Instance, wives: Sequence[int]) -> list[int]:
+    """Each man's suitor scan start: the position just below his wife."""
+    return [rank[w - 1] for rank, w in zip(inst._men_rank, wives)]
 
 
 def suitor(inst: Instance, matching: Matching, m: int) -> int | None:
@@ -110,16 +128,21 @@ def suitor(inst: Instance, matching: Matching, m: int) -> int | None:
     above their best stable partner are skipped, so a man holding his
     worst stable partner has none."""
     best = propose_optimal(inst, Side.WOMAN).husbands()
-    return _suitor(inst, matching.wives, matching.husbands(), best, m)
+    wives = matching.wives
+    pos = _suitor(
+        inst, wives, matching.husbands(), best, m, inst.man_rank(m, wives[m - 1])
+    )
+    return None if pos is None else inst.men_prefs[m - 1][pos]
 
 
 def exposed_rotation_from(inst: Instance, matching: Matching, m: int) -> Rotation:
     """Trace the rotation exposed in `matching` reachable from man m."""
     best = propose_optimal(inst, Side.WOMAN).husbands()
-    rot = _trace_rotation(inst, matching.wives, matching.husbands(), best, m)
-    if rot is None:
-        raise ValueError(f"man {m} has no suitor; chain broke")
-    return rot
+    wives = matching.wives
+    return _trace_rotation(
+        inst, wives, matching.husbands(), best, {wives[m - 1]: m},
+        _scan_starts(inst, wives),
+    )
 
 
 def apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
@@ -144,6 +167,11 @@ def find_all_rotations(
     plus the matchings along the walk (one more than the rotations,
     starting man-optimal and ending woman-optimal).  The discovery order
     is a linear extension of the rotation poset.
+
+    Each man's suitor scan resumes where it last stopped, and the suitor
+    path left after a rotation is cut off is traced on from its end rather
+    than from its first man again, which finds the same rotation; so the
+    walk passes over each man's list once.
     """
     n = inst.n
     order = man_order if man_order is not None else tuple(range(1, n + 1))
@@ -154,20 +182,28 @@ def find_all_rotations(
     wives = list(mopt.wives)
     husbands = list(mopt.husbands())
     best = wopt.husbands()
+    start = _scan_starts(inst, wives)
+    men_rank = inst._men_rank
     rotations: list[Rotation] = []
     matchings = [mopt]
+    chain: dict[int, int] = {}
+    first = 0  # every man before order[first] holds his worst stable partner
     while True:
-        for m in order:
-            rot = _trace_rotation(inst, wives, husbands, best, m)
-            if rot is not None:
+        if not chain:
+            # a man has a suitor exactly when he is not at his worst stable
+            # partner, and once there he stays, so the search never backs up
+            while first < n and best[wives[order[first] - 1] - 1] == order[first]:
+                first += 1
+            if first == n:
                 break
-        else:
-            break
+            chain[wives[order[first] - 1]] = order[first]
+        rot = _trace_rotation(inst, wives, husbands, best, chain, start)
         k = len(rot.pairs)
         for idx, (mi, _) in enumerate(rot.pairs):
             nw = rot.pairs[(idx + 1) % k][1]
             wives[mi - 1] = nw
             husbands[nw - 1] = mi
+            start[mi - 1] = men_rank[mi - 1][nw - 1]
         rotations.append(rot)
         matchings.append(Matching(tuple(wives)))
     if matchings[-1] != wopt:
@@ -182,15 +218,16 @@ def eliminated_pairs(inst: Instance, rotation: Rotation) -> list[tuple[int, int]
     every man she ranks between the two (new partner excluded, old partner
     included) loses any stable pair with her.
     """
-    out = []
-    k = len(rotation.pairs)
-    for idx, (m_old, w) in enumerate(rotation.pairs):
-        m_new = rotation.pairs[(idx - 1) % k][0]
-        r_new = inst.woman_rank(w, m_new)
-        r_old = inst.woman_rank(w, m_old)
-        for m in inst.women_prefs[w - 1][r_new : r_old]:
-            out.append((m, w))
-    return out
+    return list(_eliminated(inst, rotation))
+
+
+def _eliminated(inst: Instance, rotation: Rotation) -> Iterator[tuple[int, int]]:
+    pairs = rotation.pairs
+    for idx, (m_old, w) in enumerate(pairs):
+        m_new = pairs[idx - 1][0]
+        row = inst._women_rank[w - 1]
+        for m in inst.women_prefs[w - 1][row[m_new - 1] : row[m_old - 1]]:
+            yield m, w
 
 
 def explicitly_precedes(inst: Instance, first: Rotation, second: Rotation) -> bool:
@@ -205,6 +242,14 @@ def explicitly_precedes(inst: Instance, first: Rotation, second: Rotation) -> bo
             if inst.man_rank(m, second.next_woman(m)) > inst.man_rank(m, w):
                 return True
     return False
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -229,55 +274,60 @@ class RotationPoset:
         return bool(self.below[j] >> i & 1)
 
     def relation_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for j, mask in enumerate(self.below):
-            for i in range(len(self.rotations)):
-                if mask >> i & 1:
-                    out.append((i, j))
-        return out
+        return [(i, j) for j, mask in enumerate(self.below) for i in _bits(mask)]
 
 
 def rotation_poset(
     inst: Instance, man_order: tuple[int, ...] | None = None
 ) -> RotationPoset:
+    """The rotations in discovery order and their partial order.
+
+    Rotation i explicitly precedes j when i eliminates a pair (m, w) and
+    j moves m to a woman he likes less than w.  Every eliminated pair is
+    labelled once with the rotation that eliminates it, by man and by
+    rank; a rotation then reads the labels of its own men above their
+    next woman.  Only pairs up to a man's worst stable partner can be
+    read, so only those are labelled.  Discovery order is a linear
+    extension, so labels written before j is read are exactly those of
+    the rotations i < j, and one pass in that order closes the relation
+    transitively.
+    """
     rots, path = find_all_rotations(inst, man_order)
-    k = len(rots)
-    direct = [0] * k  # direct[j]: mask of i explicitly preceding j
-    men_sets = [set(r.men()) for r in rots]
-    for i in range(k):
-        elim = eliminated_pairs(inst, rots[i])
-        for j in range(i + 1, k):  # discovery order is a linear extension
-            mj = men_sets[j]
-            for m, w in elim:
-                if m in mj and inst.man_rank(m, rots[j].next_woman(m)) > inst.man_rank(m, w):
-                    direct[j] |= 1 << i
-                    break
-    below = [0] * k
-    for j in range(k):
-        mask = direct[j]
-        acc = mask
-        for i in range(j):
-            if mask >> i & 1:
-                acc |= below[i]
-        below[j] = acc
-    return RotationPoset(tuple(rots), tuple(below), path[0], path[-1])
+    wopt = path[-1]
+    men_rank = inst._men_rank
+    # label[m-1][r-1]: bit of the rotation eliminating (m, his r-th choice)
+    label = [[0] * rank[w - 1] for rank, w in zip(men_rank, wopt.wives)]
+    below: list[int] = []
+    for j, rot in enumerate(rots):
+        pairs = rot.pairs
+        k = len(pairs)
+        direct = 0
+        for idx, (m, _) in enumerate(pairs):
+            nxt = pairs[(idx + 1) % k][1]
+            for bit in label[m - 1][: men_rank[m - 1][nxt - 1] - 1]:
+                direct |= bit
+        for i in _bits(direct):
+            direct |= below[i]
+        below.append(direct)
+        bit = 1 << j
+        for m, w in _eliminated(inst, rot):
+            r = men_rank[m - 1][w - 1]
+            labels = label[m - 1]
+            if r <= len(labels):
+                labels[r - 1] = bit
+    return RotationPoset(tuple(rots), tuple(below), path[0], wopt)
 
 
 def hasse_diagram(poset: RotationPoset) -> list[tuple[int, int]]:
     """Covering pairs (i, j) of the rotation order: i precedes j with no
-    rotation strictly between."""
-    k = len(poset)
+    rotation strictly between, in order of j and then of i."""
+    below = poset.below
     edges = []
-    for j in range(k):
-        mask = poset.below[j]
-        for i in range(k):
-            if not (mask >> i & 1):
-                continue
-            # i < j is a cover unless some c has i < c < j
-            if not any(
-                mask >> c & 1 and poset.below[c] >> i & 1 for c in range(k)
-            ):
-                edges.append((i, j))
+    for j, mask in enumerate(below):
+        shadow = 0  # everything below some element below j
+        for i in _bits(mask):
+            shadow |= below[i]
+        edges.extend((i, j) for i in _bits(mask & ~shadow))
     return edges
 
 

@@ -9,6 +9,7 @@ from stablecount import (
     Instance,
     Matching,
     OneAttributeSpec,
+    Rotation,
     Side,
     TieDetected,
     apply_rotation,
@@ -16,6 +17,7 @@ from stablecount import (
     compare_values,
     eliminated_pairs,
     enumerate_stable_matchings,
+    explicitly_precedes,
     find_all_rotations,
     is_stable,
     lattice_meet_join,
@@ -155,6 +157,74 @@ def dot_instance_oracle(spec) -> Instance:
         tuple(ranking(p, spec.women_pos) for p in spec.men_pref),
         tuple(ranking(p, spec.men_pos) for p in spec.women_pref),
     )
+
+
+def _restarting_suitor(inst: Instance, wives, husbands, best, m: int):
+    """m's suitor, scanned from just below his wife every time."""
+    wife = wives[m - 1]
+    if best[wife - 1] == m:
+        return None
+    for w in inst.men_prefs[m - 1][inst.man_rank(m, wife):]:
+        r = inst.woman_rank(w, m)
+        if inst.woman_rank(w, husbands[w - 1]) > r >= inst.woman_rank(w, best[w - 1]):
+            return w
+    return None
+
+
+def pairwise_rotation_poset(inst: Instance, man_order=None):
+    """The rotation poset built without any index: every step traces the
+    rotation reachable from the first man in `man_order` who has a suitor,
+    every suitor scan restarts just below the man's wife, and rotation i
+    lies below j when it does in the transitive closure of
+    `explicitly_precedes` over all pairs i < j of the discovery order.
+
+    Returns (rotations, matchings along the walk, below masks)."""
+    n = inst.n
+    order = man_order if man_order is not None else tuple(range(1, n + 1))
+    wives = list(propose_optimal(inst, Side.MAN).wives)
+    best = propose_optimal(inst, Side.WOMAN).husbands()
+    husbands = list(Matching(tuple(wives)).husbands())
+    rotations, path = [], [Matching(tuple(wives))]
+    while True:
+        for m in order:
+            w = _restarting_suitor(inst, wives, husbands, best, m)
+            if w is not None:
+                break
+        else:
+            break
+        seq, seen = [(m, wives[m - 1])], {wives[m - 1]: 0}
+        while w not in seen:
+            seen[w] = len(seq)
+            h = husbands[w - 1]
+            seq.append((h, w))
+            w = _restarting_suitor(inst, wives, husbands, best, h)
+            assert w is not None, "suitor chain broke"
+        rot = Rotation(tuple(seq[seen[w]:]))
+        for m, _ in rot.pairs:
+            nw = rot.next_woman(m)
+            wives[m - 1] = nw
+            husbands[nw - 1] = m
+        rotations.append(rot)
+        path.append(Matching(tuple(wives)))
+    below = [0] * len(rotations)
+    for j, second in enumerate(rotations):
+        for i, first in enumerate(rotations[:j]):
+            if explicitly_precedes(inst, first, second):
+                below[j] |= 1 << i | below[i]
+    return rotations, path, tuple(below)
+
+
+def pairwise_hasse(below) -> list[tuple[int, int]]:
+    """Covering pairs (i, j), i below j with nothing between, found by
+    testing every middle element, in order of j and then of i."""
+    k = len(below)
+    return [
+        (i, j)
+        for j in range(k)
+        for i in range(k)
+        if below[j] >> i & 1
+        and not any(below[j] >> c & 1 and below[c] >> i & 1 for c in range(k))
+    ]
 
 
 # Two fixed 8-edge graphs reused throughout the suite.  The 3x4 one has

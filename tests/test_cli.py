@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 
 from conftest import GRAPH_3X4
 from stablecount import (
+    Poset,
     format_bipartite,
     format_instance,
     gen_partial_lists,
@@ -74,6 +77,24 @@ def test_enumerate_lists_matchings(write, capsys):
     assert run(["enumerate", path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("total 3\n")
+
+
+def test_enumerate_counts_downsets_once(write, capsys, monkeypatch):
+    counted = []
+    plain = Poset._downsets.func
+
+    def counting(poset):
+        counted.append(poset.size)
+        return plain(poset)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(Poset, "_downsets")
+    monkeypatch.setattr(Poset, "_downsets", prop)
+    path = write("inst.txt", format_instance(gen_partial_lists(GRAPH_3X4)))
+    assert run(["enumerate", "--limit", "5", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "total 29" and len(out) == 6
+    assert counted == [GRAPH_3X4.size]
 
 
 def test_isets(write, capsys):

@@ -51,6 +51,48 @@ def test_parse_rejects_out_of_range():
         parse_instance("n 1\nm 1: 2\nw 1: 1\n")
 
 
+def _instance_text(n, men, women):
+    return f"n {n}\n" + "".join(
+        f"{side} {i}: " + " ".join(lst) + "\n"
+        for side, lists in (("m", men), ("w", women))
+        for i, lst in enumerate(lists, start=1)
+    )
+
+
+def _lists_500():
+    ident = [str(i) for i in range(1, 501)]
+    return [list(ident) for _ in range(500)], [list(ident) for _ in range(500)]
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        (["0"], "preference list must be a permutation of 1..500"),
+        (["501"], "preference list must be a permutation of 1..500"),
+        (["-1"], "preference list must be a permutation of 1..500"),
+        (["x"], "indices must be integers"),
+        (["2"], "preference list must be a permutation of 1..500"),  # 2 twice
+        ([], "preference list must be a permutation of 1..500"),  # 1 missing
+    ],
+)
+def test_parse_pins_bad_token_message_and_line(head, message):
+    men, women = _lists_500()
+    women[6][:1] = head  # line 1 is the header, so w 7 is line 508
+    with pytest.raises(ParseError) as err:
+        parse_instance(_instance_text(500, men, women))
+    assert str(err.value) == f"line 508: {message}"
+    assert err.value.line == 508
+
+
+def test_parse_reads_non_canonical_numerals():
+    men, women = _lists_500()
+    men[1][2] = "03"
+    women[4][2] = "+3"
+    inst = parse_instance(_instance_text(500, men, women))
+    assert inst.men_prefs[1][2] == inst.women_prefs[4][2] == 3
+    assert inst == Instance(500, (tuple(range(1, 501)),) * 500, (tuple(range(1, 501)),) * 500)
+
+
 def test_parse_ignores_comments_and_blanks():
     text = "# a comment\n\nn 1\nm 1: 1  # trailing\nw 1: 1\n"
     assert parse_instance(text).n == 1
@@ -90,6 +132,32 @@ def test_transposed_swaps_sides():
     t = inst.transposed()
     assert t.men_prefs == inst.women_prefs
     assert t.transposed() == inst
+    rebuilt = Instance(inst.n, inst.women_prefs, inst.men_prefs)
+    assert t == rebuilt
+    assert (t._men_rank, t._women_rank) == (rebuilt._men_rank, rebuilt._women_rank)
+    assert t._men_rank is inst._women_rank  # swapped, not rebuilt
+
+
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        (((1, 2),), "expected 2 man preference lists, got 1"),
+        (((1, 2), (2, 1), (1, 2)), "expected 2 man preference lists, got 3"),
+        (((1, 2, 3), (1, 2)), "man 1: preference list must be a permutation of 1..2"),
+        (((1, 2), (1,)), "man 2: preference list must be a permutation of 1..2"),
+        (((1, 3), (2, 1)), "man 1: preference list must be a permutation of 1..2"),
+        (((1, 1), (2, 1)), "man 1: preference list must be a permutation of 1..2"),
+        # 0 lands in the unused first slot of the row and -1 in its last
+        # one, so neither leaves a slot empty: the lower bound rejects them
+        (((0, 1), (2, 1)), "man 1: preference list must be a permutation of 1..2"),
+        (((1, 2), (1, -1)), "man 2: preference list must be a permutation of 1..2"),
+        ((("a", 2), (2, 1)), "man 1: preference list must be a permutation of 1..2"),
+    ],
+)
+def test_instance_rejects_non_permutations(lists, message):
+    with pytest.raises(ValueError) as err:
+        Instance(2, lists, ((1, 2), (2, 1)))
+    assert str(err.value) == message
 
 
 def test_matching_accessors():

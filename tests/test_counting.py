@@ -95,6 +95,9 @@ def test_enumerate_matches_count_on_random_posets():
     rng = random.Random(41)
     for _ in range(100):
         poset = random_poset(rng, rng.randint(0, 12))
+        for x in range(poset.size):
+            ys = [y for y in range(poset.size) if poset.below[y] >> x & 1]
+            assert poset.above[x] == sum(1 << y for y in ys)
         got = list(enumerate_downsets(poset))
         assert len(got) == count_downsets(poset)
         assert len(set(got)) == len(got)

@@ -3,7 +3,8 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import random_instance
+from conftest import pairwise_hasse, pairwise_rotation_poset, random_instance
+import stablecount
 from stablecount import (
     Instance,
     Matching,
@@ -177,6 +178,41 @@ def test_poset_closure_matches_networkx():
         closure = nx.transitive_closure(g)
         got = set(rposet.relation_pairs())
         assert got == set(closure.edges())
+
+
+def _orders(rng, n):
+    return (None, tuple(range(n, 0, -1)), tuple(rng.sample(range(1, n + 1), n)))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [list(range(1, 8)) * 30, [30] * 8, [100, 100], [300]],
+    ids=["n1-7", "n30", "n100", "n300"],
+)
+def test_rotation_poset_matches_pairwise_oracle(sizes):
+    rng = random.Random(len(sizes) * 1000 + sizes[0])
+    for n in sizes:
+        inst = random_instance(rng, n)
+        for order in _orders(rng, n):
+            rots, path, below = pairwise_rotation_poset(inst, order)
+            assert find_all_rotations(inst, order) == (rots, path)
+            rposet = rotation_poset(inst, order)
+            assert list(rposet.rotations) == rots
+            assert rposet.below == below
+            assert rposet.man_optimal == path[0]
+            assert rposet.woman_optimal == path[-1]
+            assert hasse_diagram(rposet) == pairwise_hasse(below)
+
+
+def test_rotation_poset_takes_no_pairwise_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairwise rotation test in production")
+
+    for module in (stablecount, stablecount.rotations):
+        monkeypatch.setattr(module, "explicitly_precedes", refuse)
+        monkeypatch.setattr(module, "eliminated_pairs", refuse)
+    rposet = rotation_poset(random_instance(random.Random(300), 300))
+    assert len(rposet) > 0
 
 
 def test_poset_empty_when_no_rotations():
