@@ -22,6 +22,7 @@ from .core import (
     woman,
 )
 from .counting import (
+    MEMO_BUDGET,
     BipartiteGraph,
     Poset,
     SizeLimitError,

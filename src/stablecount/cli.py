@@ -5,7 +5,7 @@ count-1d, isets, gen, verify.  Inputs are files or '-' for stdin.
 Instance-consuming commands accept either a preference-list file or a
 geometric model file (recognized by its ``model ...`` header), which is
 converted on the fly.  Exit codes: 0 success, 1 domain error (bad input,
-ties, size bounds), 2 usage error, 3 verification failure.
+ties, memo budget), 2 usage error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.file)
     rposet = rotation_poset(inst)
-    poset = Poset.from_rotations(rposet)
+    poset = Poset.from_below(rposet.below)
     print(f"total {count_downsets(poset)}")
     for downset in enumerate_downsets(poset, limit=args.limit):
         matching = matching_from_downset(rposet, downset)

@@ -20,6 +20,9 @@ from .gale_shapley import is_stable
 from .rotations import RotationPoset, _bits, rotation_poset
 
 
+MEMO_BUDGET = 2**20  # memo entries a downset count may hold
+
+
 class SizeLimitError(ValueError):
     """Input exceeds the size bound of an exact algorithm."""
 
@@ -49,82 +52,74 @@ class Poset:
                 above[x] |= 1 << y
         return cls(len(below), tuple(above), tuple(below))
 
-    @classmethod
-    def from_rotations(cls, rposet: RotationPoset) -> "Poset":
-        return cls.from_below(rposet.below)
-
     @functools.cached_property
     def _downsets(self) -> int:
         """The number of downsets; see `count_downsets`."""
         above = self.above
         below = self.below
-        memo: dict[int, int] = {}
+        memo = {0: 1}
 
-        def count(mask: int) -> int:
-            if mask == 0:
-                return 1
-            cached = memo.get(mask)
-            if cached is not None:
-                return cached
-            m = mask
-            x = (m & -m).bit_length() - 1
-            while below[x] & mask:
-                m &= m - 1  # not minimal within mask; try next element
-                x = (m & -m).bit_length() - 1
-            result = count(mask & ~(above[x] | 1 << x)) + count(mask & ~(1 << x))
-            memo[mask] = result
-            return result
+        def count(live: int) -> int:
+            # follow the "x in" branches down to a memoised set, then add
+            # the "x out" branches on the way back up.  Indexed in a linear
+            # extension, nested calls split on pairwise incomparable
+            # elements, so the recursion is no deeper than the poset is wide.
+            chain = []
+            while live not in memo:
+                x = live & -live
+                i = x.bit_length() - 1
+                chain.append((live, live & ~(x | above[i])))
+                live &= ~(x | below[i])
+            total = memo[live]
+            for live, out in reversed(chain):
+                total += memo.get(out) or count(out)
+                memo[live] = total
+                if len(memo) > MEMO_BUDGET:
+                    raise SizeLimitError(
+                        f"size bound exceeded: memo budget of {MEMO_BUDGET} "
+                        f"entries used up on a poset of {self.size} elements"
+                    )
+            return total
 
         return count((1 << self.size) - 1)
 
 
-def count_downsets(poset: Poset, max_elements: int = 64) -> int:
-    """The number of down-closed subsets of the poset, refused above
-    `max_elements` elements.
+def count_downsets(poset: Poset) -> int:
+    """The number of down-closed subsets of the poset.
 
-    Splits on a minimal element x: downsets avoiding x avoid everything
-    above it, downsets containing x are free on the rest.  Memoised on the
-    bitmask of elements still in play.  The count is kept on the poset, so
-    `enumerate_downsets` on a counted poset does not count it again.
+    Splits the live elements on the lowest one, x: the downsets without x
+    are those of the live elements outside x and above it, the downsets
+    with x those of the live elements outside x and below it.  Memoised on
+    the bitmask of live elements; refuses with `SizeLimitError` once the
+    memo holds more than `MEMO_BUDGET` entries.  The count is kept on the
+    poset, so a second call does not count again.
     """
-    return _downset_count(poset, max_elements)
-
-
-def _downset_count(poset: Poset, max_elements: int) -> int:
-    if poset.size > max_elements:
-        raise SizeLimitError(
-            f"size bound exceeded: poset has {poset.size} > {max_elements} elements"
-        )
     return poset._downsets
 
 
 def enumerate_downsets(
-    poset: Poset, limit: int | None = None, cap: int = 10**6
+    poset: Poset, limit: int | None = None
 ) -> Iterator[frozenset[int]]:
-    """Yield every downset in a deterministic order (at most `limit` of
-    them if given).  Refuses posets with more than `cap` downsets, and
-    those `count_downsets` refuses by default."""
-    if _downset_count(poset, 64) > cap:
-        raise SizeLimitError(f"size bound exceeded: more than {cap} downsets")
+    """Yield the downsets one at a time, at most `limit` of them if given.
+
+    Walks the split of `count_downsets` depth first, the downsets without
+    x before those with x, so each downset costs at most one split per
+    element and nothing is counted first.
+    """
     above = poset.above
     below = poset.below
-    budget = [limit if limit is not None else -1]
-
-    def walk(mask: int, chosen: int) -> Iterator[frozenset[int]]:
-        if budget[0] == 0:
-            return
-        if mask == 0:
-            budget[0] -= 1
-            yield frozenset(i for i in range(poset.size) if chosen >> i & 1)
-            return
-        m = mask
-        x = (m & -m).bit_length() - 1
-        while below[x] & mask:
-            m &= m - 1
-            x = (m & -m).bit_length() - 1
-        yield from walk(mask & ~(above[x] | 1 << x), chosen)  # downsets without x
-        yield from walk(mask & ~(1 << x), chosen | 1 << x)  # downsets with x
-    yield from walk((1 << poset.size) - 1, 0)
+    left = -1 if limit is None else limit
+    stack = [((1 << poset.size) - 1, 0)]
+    while stack and left:
+        live, chosen = stack.pop()
+        if not live:
+            left -= 1
+            yield frozenset(_bits(chosen))
+            continue
+        x = live & -live
+        i = x.bit_length() - 1
+        stack.append((live & ~(x | below[i]), chosen | x | below[i]))
+        stack.append((live & ~(x | above[i]), chosen))
 
 
 def matching_from_downset(rposet: RotationPoset, downset: frozenset[int]) -> Matching:
@@ -142,14 +137,14 @@ def matching_from_downset(rposet: RotationPoset, downset: frozenset[int]) -> Mat
 
 
 def count_stable_matchings(inst: Instance) -> int:
-    return count_downsets(Poset.from_rotations(rotation_poset(inst)))
+    return count_downsets(Poset.from_below(rotation_poset(inst).below))
 
 
 def enumerate_stable_matchings(
     inst: Instance, limit: int | None = None
 ) -> Iterator[Matching]:
     rposet = rotation_poset(inst)
-    poset = Poset.from_rotations(rposet)
+    poset = Poset.from_below(rposet.below)
     for downset in enumerate_downsets(poset, limit):
         yield matching_from_downset(rposet, downset)
 
@@ -254,8 +249,6 @@ def brute_force_independent_sets(graph: BipartiteGraph) -> int:
 
 def count_independent_sets(graph: BipartiteGraph) -> int:
     """Count independent sets of a bipartite graph via poset downsets."""
-    if graph.size > 40:
-        raise SizeLimitError("size bound exceeded: need n1 + n2 <= 40")
     return count_downsets(poset_from_bipartite(graph))
 
 

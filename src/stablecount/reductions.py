@@ -446,7 +446,7 @@ def verify_reduction(graph: BipartiteGraph, model: str = "lists") -> ReductionRe
             problems.append(f"Hasse edges {sorted(got_edges)} != graph edges")
 
     is_count = count_independent_sets(graph)
-    sm_count = count_downsets(Poset.from_rotations(rposet))
+    sm_count = count_downsets(Poset.from_below(rposet.below))
     counts_ok = is_count == sm_count
     if not counts_ok:
         problems.append(f"counts differ: #IS={is_count} #SM={sm_count}")

@@ -1,14 +1,19 @@
 import functools
+import random
 
 import pytest
 
-from conftest import GRAPH_3X4
+from conftest import GRAPH_3X4, independent_sets_oracle, random_instance
 from stablecount import (
+    BipartiteGraph,
+    Matching,
     Poset,
     format_bipartite,
     format_instance,
     gen_partial_lists,
+    is_stable,
     parse_bipartite,
+    parse_instance,
 )
 from stablecount.cli import run
 
@@ -95,6 +100,42 @@ def test_enumerate_counts_downsets_once(write, capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "total 29" and len(out) == 6
     assert counted == [GRAPH_3X4.size]
+
+
+def test_count_past_64_rotations(write, capsys):
+    path = write("inst.txt", format_instance(random_instance(random.Random(1), 400)))
+    assert run(["count", path]) == 0
+    assert capsys.readouterr().out == "393\n"
+
+
+def _graph_without_isolated_vertices(rng, n1, n2, m):
+    pool = [(u, v) for u in range(1, n1 + 1) for v in range(1, n2 + 1)]
+    while True:
+        edges = rng.sample(pool, m)
+        if len({u for u, _ in edges}) == n1 and len({v for _, v in edges}) == n2:
+            return BipartiteGraph(n1, n2, tuple(edges))
+
+
+def test_enumerate_past_a_million_matchings(write, capsys):
+    graph = _graph_without_isolated_vertices(random.Random(3), 15, 15, 35)
+    total = independent_sets_oracle(graph)
+    assert total > 10**6
+    text = format_instance(gen_partial_lists(graph))
+    assert run(["enumerate", write("inst.txt", text)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"total {total}"
+    assert len(out) == 1001 and len(set(out[1:])) == 1000
+    inst = parse_instance(text)
+    for line in out[1::111]:
+        assert is_stable(inst, Matching(tuple(map(int, line.split()))))
+
+
+def test_isets_past_40_vertices(write, capsys):
+    graph = _graph_without_isolated_vertices(random.Random(4), 8, 33, 50)
+    assert graph.size == 41
+    bis = write("g.bis", format_bipartite(graph))
+    assert run(["isets", bis]) == 0
+    assert capsys.readouterr().out == f"{independent_sets_oracle(graph)}\n"
 
 
 def test_isets(write, capsys):

@@ -12,6 +12,7 @@ from conftest import (
     random_instance,
 )
 from stablecount import (
+    MEMO_BUDGET,
     BipartiteGraph,
     Instance,
     ParseError,
@@ -54,6 +55,14 @@ def random_poset(rng, k):
     return Poset.from_below(tuple(below))
 
 
+def relabelled(poset, perm):
+    # element x becomes perm[x], so the indices need not be a linear extension
+    below = [0] * poset.size
+    for x in range(poset.size):
+        below[perm[x]] = sum(1 << perm[y] for y in range(poset.size) if poset.below[x] >> y & 1)
+    return Poset.from_below(tuple(below))
+
+
 def oracle_downsets(poset):
     # filter all subsets for downward closure
     out = []
@@ -72,36 +81,71 @@ def test_count_empty_poset():
 
 
 def test_count_chain_and_antichain():
-    for k in range(1, 8):
+    for k in (*range(1, 8), 1200):  # no element cap, no recursion per element
         assert count_downsets(chain(k)) == k + 1
         assert count_downsets(antichain(k)) == 2**k
 
 
 def test_count_rejects_oversized():
-    with pytest.raises(SizeLimitError):
-        count_downsets(antichain(65))
+    # a random 40+40 height-one poset needs more memo entries than the budget
+    rng = random.Random(0)
+    below = [0] * 40 + [
+        sum(1 << u for u in range(40) if rng.random() < 0.1) for _ in range(40)
+    ]
+    poset = Poset.from_below(tuple(below))
+    message = (
+        f"size bound exceeded: memo budget of {MEMO_BUDGET} entries "
+        f"used up on a poset of 80 elements"
+    )
+    with pytest.raises(SizeLimitError, match=message):
+        count_downsets(poset)
+
+
+@pytest.mark.parametrize(
+    "seed, want", [(0, 608), (1, 393), (2, 1071), (3, 443), (4, 235)]
+)
+def test_count_stable_matchings_past_64_rotations(seed, want):
+    inst = random_instance(random.Random(seed), 400)
+    reversed_order = tuple(range(inst.n, 0, -1))
+    rposet = rotation_poset(inst, man_order=reversed_order)
+    assert len(rposet) > 64
+    assert count_stable_matchings(inst) == want
+    assert count_downsets(Poset.from_below(rposet.below)) == want
 
 
 def test_enumerate_chain():
     got = list(enumerate_downsets(chain(2)))
     assert sorted(got, key=len) == [frozenset(), {0}, {0, 1}]
+    assert len(list(enumerate_downsets(chain(1200)))) == 1201
 
 
 def test_enumerate_respects_limit():
     assert len(list(enumerate_downsets(antichain(5), limit=3))) == 3
 
 
+def test_enumerate_counts_nothing_first(monkeypatch):
+    def refuse(poset):
+        raise AssertionError("enumeration must not count")
+
+    monkeypatch.setattr(Poset, "_downsets", property(refuse))
+    got = list(enumerate_downsets(antichain(21), limit=3))
+    assert got == [frozenset(), {20}, {19}]
+
+
 def test_enumerate_matches_count_on_random_posets():
     rng = random.Random(41)
+    labels = random.Random(42)
     for _ in range(100):
         poset = random_poset(rng, rng.randint(0, 12))
-        for x in range(poset.size):
-            ys = [y for y in range(poset.size) if poset.below[y] >> x & 1]
-            assert poset.above[x] == sum(1 << y for y in ys)
-        got = list(enumerate_downsets(poset))
-        assert len(got) == count_downsets(poset)
-        assert len(set(got)) == len(got)
-        assert sorted(got, key=sorted) == sorted(oracle_downsets(poset), key=sorted)
+        shuffled = relabelled(poset, labels.sample(range(poset.size), poset.size))
+        for poset in (poset, shuffled):
+            for x in range(poset.size):
+                ys = [y for y in range(poset.size) if poset.below[y] >> x & 1]
+                assert poset.above[x] == sum(1 << y for y in ys)
+            got = list(enumerate_downsets(poset))
+            assert len(got) == count_downsets(poset)
+            assert len(set(got)) == len(got)
+            assert sorted(got, key=sorted) == sorted(oracle_downsets(poset), key=sorted)
 
 
 def test_known_downset_of_height_one_poset():
