@@ -24,10 +24,7 @@ from .core import (
 from .counting import (
     MEMO_BUDGET,
     BipartiteGraph,
-    Poset,
     SizeLimitError,
-    brute_force_independent_sets,
-    brute_force_stable_matchings,
     count_downsets,
     count_independent_sets,
     count_stable_matchings,
@@ -38,7 +35,7 @@ from .counting import (
     parse_bipartite,
     poset_from_bipartite,
 )
-from .gale_shapley import blocking_pairs, is_stable, lattice_meet_join, propose_optimal
+from .gale_shapley import blocking_pairs, is_stable, propose_optimal
 from .geometry import (
     AttributeSpec,
     EuclideanSpec,
@@ -66,20 +63,16 @@ from .reductions import (
     verify_reduction,
 )
 from .rotations import (
+    Poset,
     Rotation,
     RotationPoset,
     apply_rotation,
-    eliminated_pairs,
-    explicitly_precedes,
-    exposed_rotation_from,
     find_all_rotations,
     format_rotations,
     hasse_diagram,
     hasse_dot,
     parse_rotation,
     rotation_poset,
-    suitor,
-    truncated_lists,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,7 +27,6 @@ from .core import (
 )
 from .counting import (
     SizeLimitError,
-    Poset,
     count_downsets,
     count_independent_sets,
     count_stable_matchings,
@@ -126,9 +125,8 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.file)
     rposet = rotation_poset(inst)
-    poset = Poset.from_below(rposet.below)
-    print(f"total {count_downsets(poset)}")
-    for downset in enumerate_downsets(poset, limit=args.limit):
+    print(f"total {count_downsets(rposet)}")
+    for downset in enumerate_downsets(rposet, limit=args.limit):
         matching = matching_from_downset(rposet, downset)
         print(" ".join(map(str, matching.wives)))
     return 0
@@ -187,6 +185,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 3
 
 
+def _limit(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablecount",
@@ -218,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file")
 
     sub = add("enumerate", _cmd_enumerate, "list stable matchings")
-    sub.add_argument("--limit", type=int, default=1000)
+    sub.add_argument("--limit", type=_limit, default=1000)
     sub.add_argument("file")
 
     sub = add("count-1d", _cmd_count_1d, "count stable matchings of a 1d model")

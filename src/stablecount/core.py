@@ -199,7 +199,7 @@ def parse_instance(text: str) -> Instance:
     except StopIteration:
         raise ParseError("empty input") from None
     parts = header.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
         raise ParseError("expected header 'n N'", lineno)
     n = int(parts[1])
     if n < 1:

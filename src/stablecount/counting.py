@@ -10,14 +10,11 @@ counting stable matchings as hard as counting bipartite independent sets.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Instance, Matching, ParseError, _content_lines
-from .gale_shapley import is_stable
-from .rotations import RotationPoset, _bits, rotation_poset
+from .rotations import Poset, RotationPoset, _bits, rotation_poset
 
 
 MEMO_BUDGET = 2**20  # memo entries a downset count may hold
@@ -27,63 +24,6 @@ class SizeLimitError(ValueError):
     """Input exceeds the size bound of an exact algorithm."""
 
 
-@dataclass(frozen=True)
-class Poset:
-    """A finite poset on elements 0..size-1.
-
-    ``above[x]`` / ``below[x]`` are bitmasks of the elements strictly
-    greater / smaller than x (transitively closed).
-    """
-
-    size: int
-    above: tuple[int, ...]
-    below: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for x in range(self.size):
-            if self.above[x] >> x & 1 or self.below[x] >> x & 1:
-                raise ValueError("order relation must be irreflexive")
-
-    @classmethod
-    def from_below(cls, below: tuple[int, ...]) -> "Poset":
-        above = [0] * len(below)
-        for y, mask in enumerate(below):
-            for x in _bits(mask):
-                above[x] |= 1 << y
-        return cls(len(below), tuple(above), tuple(below))
-
-    @functools.cached_property
-    def _downsets(self) -> int:
-        """The number of downsets; see `count_downsets`."""
-        above = self.above
-        below = self.below
-        memo = {0: 1}
-
-        def count(live: int) -> int:
-            # follow the "x in" branches down to a memoised set, then add
-            # the "x out" branches on the way back up.  Indexed in a linear
-            # extension, nested calls split on pairwise incomparable
-            # elements, so the recursion is no deeper than the poset is wide.
-            chain = []
-            while live not in memo:
-                x = live & -live
-                i = x.bit_length() - 1
-                chain.append((live, live & ~(x | above[i])))
-                live &= ~(x | below[i])
-            total = memo[live]
-            for live, out in reversed(chain):
-                total += memo.get(out) or count(out)
-                memo[live] = total
-                if len(memo) > MEMO_BUDGET:
-                    raise SizeLimitError(
-                        f"size bound exceeded: memo budget of {MEMO_BUDGET} "
-                        f"entries used up on a poset of {self.size} elements"
-                    )
-            return total
-
-        return count((1 << self.size) - 1)
-
-
 def count_downsets(poset: Poset) -> int:
     """The number of down-closed subsets of the poset.
 
@@ -91,10 +31,35 @@ def count_downsets(poset: Poset) -> int:
     are those of the live elements outside x and above it, the downsets
     with x those of the live elements outside x and below it.  Memoised on
     the bitmask of live elements; refuses with `SizeLimitError` once the
-    memo holds more than `MEMO_BUDGET` entries.  The count is kept on the
-    poset, so a second call does not count again.
+    memo holds more than `MEMO_BUDGET` entries.
     """
-    return poset._downsets
+    above = poset.above
+    below = poset.below
+    memo = {0: 1}
+
+    def count(live: int) -> int:
+        # follow the "x in" branches down to a memoised set, then add the
+        # "x out" branches on the way back up.  Indexed in a linear
+        # extension, nested calls split on pairwise incomparable elements,
+        # so the recursion is no deeper than the poset is wide.
+        chain = []
+        while live not in memo:
+            x = live & -live
+            i = x.bit_length() - 1
+            chain.append((live, live & ~(x | above[i])))
+            live &= ~(x | below[i])
+        total = memo[live]
+        for live, out in reversed(chain):
+            total += memo.get(out) or count(out)
+            memo[live] = total
+            if len(memo) > MEMO_BUDGET:
+                raise SizeLimitError(
+                    f"size bound exceeded: memo budget of {MEMO_BUDGET} "
+                    f"entries used up on a poset of {poset.size} elements"
+                )
+        return total
+
+    return count((1 << poset.size) - 1)
 
 
 def enumerate_downsets(
@@ -104,8 +69,11 @@ def enumerate_downsets(
 
     Walks the split of `count_downsets` depth first, the downsets without
     x before those with x, so each downset costs at most one split per
-    element and nothing is counted first.
+    element and nothing is counted first.  A negative `limit` is a
+    `ValueError`.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     above = poset.above
     below = poset.below
     left = -1 if limit is None else limit
@@ -137,29 +105,15 @@ def matching_from_downset(rposet: RotationPoset, downset: frozenset[int]) -> Mat
 
 
 def count_stable_matchings(inst: Instance) -> int:
-    return count_downsets(Poset.from_below(rotation_poset(inst).below))
+    return count_downsets(rotation_poset(inst))
 
 
 def enumerate_stable_matchings(
     inst: Instance, limit: int | None = None
 ) -> Iterator[Matching]:
     rposet = rotation_poset(inst)
-    poset = Poset.from_below(rposet.below)
-    for downset in enumerate_downsets(poset, limit):
+    for downset in enumerate_downsets(rposet, limit):
         yield matching_from_downset(rposet, downset)
-
-
-def brute_force_stable_matchings(inst: Instance) -> list[Matching]:
-    """All stable matchings by checking every permutation.  Only viable
-    for small n."""
-    if inst.n > 8:
-        raise SizeLimitError("size bound exceeded: brute force needs n <= 8")
-    out = []
-    for perm in itertools.permutations(range(1, inst.n + 1)):
-        matching = Matching(perm)
-        if is_stable(inst, matching):
-            out.append(matching)
-    return out
 
 
 # -- bipartite graphs and independent sets -----------------------------
@@ -221,30 +175,6 @@ def poset_from_bipartite(graph: BipartiteGraph) -> Poset:
         above[u - 1] |= 1 << (graph.n1 + v - 1)
         below[graph.n1 + v - 1] |= 1 << (u - 1)
     return Poset(graph.size, tuple(above), tuple(below))
-
-
-def brute_force_independent_sets(graph: BipartiteGraph) -> int:
-    """Count independent sets by testing every vertex subset."""
-    if graph.size > 24:
-        raise SizeLimitError("size bound exceeded: subset oracle needs n1+n2 <= 24")
-    adj = [0] * graph.size
-    for u, v in graph.edges:
-        a, b = u - 1, graph.n1 + v - 1
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    count = 0
-    for mask in range(1 << graph.size):
-        rest = mask
-        ok = True
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            if adj[x] & mask:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            count += 1
-    return count
 
 
 def count_independent_sets(graph: BipartiteGraph) -> int:

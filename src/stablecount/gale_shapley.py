@@ -1,4 +1,4 @@
-"""Deferred acceptance, stability checks, and the matching lattice."""
+"""Deferred acceptance and stability checks."""
 
 from __future__ import annotations
 
@@ -57,29 +57,3 @@ def blocking_pairs(inst: Instance, matching: Matching) -> list[tuple[int, int]]:
 
 def is_stable(inst: Instance, matching: Matching) -> bool:
     return not blocking_pairs(inst, matching)
-
-
-def lattice_meet_join(
-    inst: Instance, a: Matching, b: Matching
-) -> tuple[Matching, Matching]:
-    """The (max, min) of two stable matchings in the matching lattice.
-
-    Stable matchings form a distributive lattice whose minimum is the
-    man-optimal matching.  The max pairs every man with the wife he likes
-    less of his two (equivalently, every woman with the husband she
-    prefers); the min pairs him with the other one.  Both outputs are
-    stable; the inputs must be, and are checked.
-    """
-    if blocking_pairs(inst, a) or blocking_pairs(inst, b):
-        raise ValueError("lattice operations require stable matchings")
-    max_wives = []
-    min_wives = []
-    for m in range(1, inst.n + 1):
-        wa, wb = a.wife(m), b.wife(m)
-        if inst.man_rank(m, wa) <= inst.man_rank(m, wb):
-            min_wives.append(wa)
-            max_wives.append(wb)
-        else:
-            min_wives.append(wb)
-            max_wives.append(wa)
-    return Matching(tuple(max_wives)), Matching(tuple(min_wives))

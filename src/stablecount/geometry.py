@@ -17,16 +17,15 @@ arithmetic, and dot products through interval arithmetic.  Each dot-product
 score is built once and enclosed once in a 128-bit interval; scores whose
 enclosures do not overlap are ordered by them, and only the runs of
 overlapping enclosures are sorted by exact pairwise comparison, which
-raises the precision up to a cap (STABLECOUNT_MAX_BITS, 4096 bits by
-default).  If two scores cannot be separated the construction refuses to
-guess and raises TieDetected.
+doubles the precision up to the fixed cap MAX_BITS (4096 bits).  If two
+scores cannot be separated the construction refuses to guess and raises
+TieDetected.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,11 +39,6 @@ from .rotations import find_all_rotations
 
 DEFAULT_BITS = 128
 MAX_BITS = 4096
-
-
-def _max_bits() -> int:
-    env = os.environ.get("STABLECOUNT_MAX_BITS")
-    return int(env) if env else MAX_BITS
 
 
 class TieDetected(ValueError):
@@ -180,21 +174,20 @@ def _value_interval(terms: tuple[Term, ...], prec: int):
     return total
 
 
-def compare_values(a: Value, b: Value, max_bits: int | None = None) -> int:
+def compare_values(a: Value, b: Value) -> int:
     """Certified three-way comparison: -1, 0 (exact tie), or +1.
 
     Raises TieDetected when the difference is not symbolically zero but
-    interval evaluation cannot separate it from zero at the precision cap
-    (default 4096 bits, override with STABLECOUNT_MAX_BITS).
+    interval evaluation, doubling the precision from DEFAULT_BITS, cannot
+    separate it from zero at MAX_BITS bits.
     """
     diff = a - b
     if diff.is_zero():
         return 0
     if diff.is_rational():
         return 1 if diff.as_fraction() > 0 else -1
-    cap = max_bits if max_bits is not None else _max_bits()
     prec = DEFAULT_BITS
-    while prec <= cap:
+    while prec <= MAX_BITS:
         x = _value_interval(diff.terms, prec)
         if x.a > 0:
             return 1
@@ -202,7 +195,7 @@ def compare_values(a: Value, b: Value, max_bits: int | None = None) -> int:
             return -1
         prec *= 2
     raise TieDetected(
-        f"could not separate two scores at {cap} bits of precision"
+        f"could not separate two scores at {MAX_BITS} bits of precision"
     )
 
 
@@ -327,23 +320,16 @@ class OneAttributeSpec:
 # -- inducing instances ------------------------------------------------
 
 
-def _sorted_by_score(
-    scores: list[Value], max_bits: int | None
-) -> tuple[int, ...]:
+def _sorted_by_score(scores: list[Value]) -> tuple[int, ...]:
     # descending by score; candidates are 1-based indices into scores
     def cmp(a: int, b: int) -> int:
-        c = compare_values(scores[a - 1], scores[b - 1], max_bits)
+        c = compare_values(scores[a - 1], scores[b - 1])
         if c == 0:
             raise TieDetected(f"candidates {a} and {b} score exactly alike")
         return -c
 
     key = functools.cmp_to_key(cmp)
     candidates = range(1, len(scores) + 1)
-    cap = max_bits if max_bits is not None else _max_bits()
-    if cap < DEFAULT_BITS:
-        # no enclosure may be taken above the cap, so every pair is compared
-        return tuple(sorted(candidates, key=key))
-
     # Enclose each score once.  Going down by upper endpoint, a candidate
     # whose upper endpoint lies below every lower endpoint seen so far is
     # certified below all earlier candidates and starts a new run; only the
@@ -361,7 +347,7 @@ def _sorted_by_score(
     return tuple(c for run in runs for c in sorted(run, key=key))
 
 
-def instance_from_dot(spec: AttributeSpec, max_bits: int | None = None) -> Instance:
+def instance_from_dot(spec: AttributeSpec) -> Instance:
     """Build the instance induced by a dot-product model.
 
     Raises TieDetected if any person's scores cannot be strictly ordered.
@@ -369,11 +355,11 @@ def instance_from_dot(spec: AttributeSpec, max_bits: int | None = None) -> Insta
     men_lists = []
     for pref in spec.men_pref:
         scores = [_dot(pref, pos) for pos in spec.women_pos]
-        men_lists.append(_sorted_by_score(scores, max_bits))
+        men_lists.append(_sorted_by_score(scores))
     women_lists = []
     for pref in spec.women_pref:
         scores = [_dot(pref, pos) for pos in spec.men_pos]
-        women_lists.append(_sorted_by_score(scores, max_bits))
+        women_lists.append(_sorted_by_score(scores))
     return Instance(spec.n, tuple(men_lists), tuple(women_lists))
 
 
@@ -421,8 +407,7 @@ def count_1attribute(spec: OneAttributeSpec) -> int:
     the count is simply the number of rotations plus one.
     """
     inst = instance_from_1attribute(spec)
-    rotations, _ = find_all_rotations(inst)
-    return len(rotations) + 1
+    return len(find_all_rotations(inst)[0]) + 1
 
 
 # -- textual format ----------------------------------------------------
@@ -533,10 +518,10 @@ def format_geometric(spec) -> str:
     return "\n".join(out) + "\n"
 
 
-def induced_instance(spec, max_bits: int | None = None) -> Instance:
+def induced_instance(spec) -> Instance:
     """Build the instance for any geometric spec."""
     if isinstance(spec, AttributeSpec):
-        return instance_from_dot(spec, max_bits)
+        return instance_from_dot(spec)
     if isinstance(spec, EuclideanSpec):
         return instance_from_euclidean(spec)
     if isinstance(spec, OneAttributeSpec):

@@ -24,19 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Instance, Matching
-from .counting import (
-    BipartiteGraph,
-    Poset,
-    count_downsets,
-    count_independent_sets,
-)
+from .counting import BipartiteGraph, count_downsets, count_independent_sets
 from .geometry import AttributeSpec, EuclideanSpec, Value, induced_instance
-from .rotations import (
-    Rotation,
-    RotationPoset,
-    hasse_diagram,
-    rotation_poset,
-)
+from .rotations import Rotation, hasse_diagram, rotation_poset
 
 
 @dataclass(frozen=True)
@@ -446,7 +436,7 @@ def verify_reduction(graph: BipartiteGraph, model: str = "lists") -> ReductionRe
             problems.append(f"Hasse edges {sorted(got_edges)} != graph edges")
 
     is_count = count_independent_sets(graph)
-    sm_count = count_downsets(Poset.from_below(rposet.below))
+    sm_count = count_downsets(rposet)
     counts_ok = is_count == sm_count
     if not counts_ok:
         problems.append(f"counts differ: #IS={is_count} #SM={sm_count}")

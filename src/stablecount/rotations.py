@@ -7,7 +7,8 @@ Repeatedly eliminating exposed rotations walks from the man-optimal
 matching to the woman-optimal one, discovering every rotation exactly once
 regardless of the order choices made along the way.  The rotations ordered
 by "must be eliminated earlier" form a poset whose downsets correspond
-one-to-one with the stable matchings.
+one-to-one with the stable matchings.  `Poset` is the finite-poset type
+that counting works on, and a `RotationPoset` is one.
 """
 
 from __future__ import annotations
@@ -122,29 +123,6 @@ def _scan_starts(inst: Instance, wives: Sequence[int]) -> list[int]:
     return [rank[w - 1] for rank, w in zip(inst._men_rank, wives)]
 
 
-def suitor(inst: Instance, matching: Matching, m: int) -> int | None:
-    """The first woman below m's spouse on his list who prefers m to her
-    current husband, or None if no such woman exists.  Women who rank m
-    above their best stable partner are skipped, so a man holding his
-    worst stable partner has none."""
-    best = propose_optimal(inst, Side.WOMAN).husbands()
-    wives = matching.wives
-    pos = _suitor(
-        inst, wives, matching.husbands(), best, m, inst.man_rank(m, wives[m - 1])
-    )
-    return None if pos is None else inst.men_prefs[m - 1][pos]
-
-
-def exposed_rotation_from(inst: Instance, matching: Matching, m: int) -> Rotation:
-    """Trace the rotation exposed in `matching` reachable from man m."""
-    best = propose_optimal(inst, Side.WOMAN).husbands()
-    wives = matching.wives
-    return _trace_rotation(
-        inst, wives, matching.husbands(), best, {wives[m - 1]: m},
-        _scan_starts(inst, wives),
-    )
-
-
 def apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
     """Shift every man in the rotation to the next woman in the cycle."""
     wives = list(matching.wives)
@@ -158,15 +136,15 @@ def apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
 
 def find_all_rotations(
     inst: Instance, man_order: tuple[int, ...] | None = None
-) -> tuple[list[Rotation], list[Matching]]:
+) -> tuple[list[Rotation], Matching, Matching]:
     """Discover every rotation of the instance, in elimination order.
 
     Walks from the man-optimal to the woman-optimal matching, each step
     eliminating the rotation reachable from the first man (in `man_order`,
     default ascending) who currently has a suitor.  Returns the rotations
-    plus the matchings along the walk (one more than the rotations,
-    starting man-optimal and ending woman-optimal).  The discovery order
-    is a linear extension of the rotation poset.
+    and the two ends of the walk, the man-optimal and the woman-optimal
+    matching.  The discovery order is a linear extension of the rotation
+    poset.
 
     Each man's suitor scan resumes where it last stopped, and the suitor
     path left after a rotation is cut off is traced on from its end rather
@@ -185,7 +163,6 @@ def find_all_rotations(
     start = _scan_starts(inst, wives)
     men_rank = inst._men_rank
     rotations: list[Rotation] = []
-    matchings = [mopt]
     chain: dict[int, int] = {}
     first = 0  # every man before order[first] holds his worst stable partner
     while True:
@@ -205,43 +182,24 @@ def find_all_rotations(
             husbands[nw - 1] = mi
             start[mi - 1] = men_rank[mi - 1][nw - 1]
         rotations.append(rot)
-        matchings.append(Matching(tuple(wives)))
-    if matchings[-1] != wopt:
+    if tuple(wives) != wopt.wives:
         raise AssertionError("rotation elimination did not reach woman-optimal")
-    return rotations, matchings
+    return rotations, mopt, wopt
 
 
-def eliminated_pairs(inst: Instance, rotation: Rotation) -> list[tuple[int, int]]:
+def _eliminated(inst: Instance, rotation: Rotation) -> Iterator[tuple[int, int]]:
     """Pairs (m, w) ruled out of all later stable matchings by this rotation.
 
     Each woman w in the rotation trades her partner for one she prefers;
     every man she ranks between the two (new partner excluded, old partner
     included) loses any stable pair with her.
     """
-    return list(_eliminated(inst, rotation))
-
-
-def _eliminated(inst: Instance, rotation: Rotation) -> Iterator[tuple[int, int]]:
     pairs = rotation.pairs
     for idx, (m_old, w) in enumerate(pairs):
         m_new = pairs[idx - 1][0]
         row = inst._women_rank[w - 1]
         for m in inst.women_prefs[w - 1][row[m_new - 1] : row[m_old - 1]]:
             yield m, w
-
-
-def explicitly_precedes(inst: Instance, first: Rotation, second: Rotation) -> bool:
-    """True if `first` eliminates a pair (m, w) and `second` moves m to a
-    woman he likes less than w, forcing first before second in every
-    elimination order."""
-    if first == second:
-        return False
-    second_men = set(second.men())
-    for m, w in eliminated_pairs(inst, first):
-        if m in second_men:
-            if inst.man_rank(m, second.next_woman(m)) > inst.man_rank(m, w):
-                return True
-    return False
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -253,28 +211,55 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 @dataclass(frozen=True)
-class RotationPoset:
-    """Rotations in a fixed linear extension plus their partial order.
+class Poset:
+    """A finite poset on elements 0..size-1.
 
-    ``below[i]`` is a bitmask over rotation indices j that must be
-    eliminated before rotation i (the strict down-set of i, transitively
-    closed).  ``man_optimal`` and ``woman_optimal`` are the matchings in
-    which no rotation and every rotation has been eliminated.
+    ``above[x]`` / ``below[x]`` are bitmasks of the elements strictly
+    greater / smaller than x (transitively closed).
     """
 
-    rotations: tuple[Rotation, ...]
+    size: int
+    above: tuple[int, ...]
     below: tuple[int, ...]
-    man_optimal: Matching
-    woman_optimal: Matching
+
+    def __post_init__(self) -> None:
+        for x in range(self.size):
+            if self.above[x] >> x & 1 or self.below[x] >> x & 1:
+                raise ValueError("order relation must be irreflexive")
+
+    @classmethod
+    def from_below(cls, below: tuple[int, ...], **fields):
+        """The poset with these strict down-sets; `fields` fill the
+        fields a subclass adds."""
+        above = [0] * len(below)
+        for y, mask in enumerate(below):
+            for x in _bits(mask):
+                above[x] |= 1 << y
+        return cls(len(below), tuple(above), tuple(below), **fields)
 
     def __len__(self) -> int:
-        return len(self.rotations)
+        return self.size
 
     def precedes(self, i: int, j: int) -> bool:
         return bool(self.below[j] >> i & 1)
 
     def relation_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for j, mask in enumerate(self.below) for i in _bits(mask)]
+
+
+@dataclass(frozen=True)
+class RotationPoset(Poset):
+    """The rotation poset: element i is ``rotations[i]``, listed in a
+    linear extension.
+
+    ``below[i]`` holds the rotations that must be eliminated before
+    rotation i.  ``man_optimal`` and ``woman_optimal`` are the matchings
+    in which no rotation and every rotation has been eliminated.
+    """
+
+    rotations: tuple[Rotation, ...]
+    man_optimal: Matching
+    woman_optimal: Matching
 
 
 def rotation_poset(
@@ -292,8 +277,7 @@ def rotation_poset(
     the rotations i < j, and one pass in that order closes the relation
     transitively.
     """
-    rots, path = find_all_rotations(inst, man_order)
-    wopt = path[-1]
+    rots, mopt, wopt = find_all_rotations(inst, man_order)
     men_rank = inst._men_rank
     # label[m-1][r-1]: bit of the rotation eliminating (m, his r-th choice)
     label = [[0] * rank[w - 1] for rank, w in zip(men_rank, wopt.wives)]
@@ -315,12 +299,14 @@ def rotation_poset(
             labels = label[m - 1]
             if r <= len(labels):
                 labels[r - 1] = bit
-    return RotationPoset(tuple(rots), tuple(below), path[0], wopt)
+    return RotationPoset.from_below(
+        tuple(below), rotations=tuple(rots), man_optimal=mopt, woman_optimal=wopt
+    )
 
 
-def hasse_diagram(poset: RotationPoset) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) of the rotation order: i precedes j with no
-    rotation strictly between, in order of j and then of i."""
+def hasse_diagram(poset: Poset) -> list[tuple[int, int]]:
+    """Covering pairs (i, j) of the order: i precedes j with no element
+    strictly between, in order of j and then of i."""
     below = poset.below
     edges = []
     for j, mask in enumerate(below):
@@ -341,31 +327,6 @@ def hasse_dot(poset: RotationPoset) -> str:
         lines.append(f"  r{i} -> r{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def truncated_lists(
-    inst: Instance,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Each person's preference list cut down to the span between their
-    best and worst stable partners (inclusive).
-
-    Returns (men_lists, women_lists).  Every stable pair lies inside these
-    spans, so the truncation preserves the whole set of stable matchings.
-    """
-    mopt = propose_optimal(inst, Side.MAN)
-    wopt = propose_optimal(inst, Side.WOMAN)
-    men = []
-    for m in range(1, inst.n + 1):
-        lo = inst.man_rank(m, mopt.wife(m))
-        hi = inst.man_rank(m, wopt.wife(m))
-        men.append(inst.men_prefs[m - 1][lo - 1 : hi])
-    women = []
-    m_husb, w_husb = mopt.husbands(), wopt.husbands()
-    for w in range(1, inst.n + 1):
-        lo = inst.woman_rank(w, w_husb[w - 1])
-        hi = inst.woman_rank(w, m_husb[w - 1])
-        women.append(inst.women_prefs[w - 1][lo - 1 : hi])
-    return tuple(men), tuple(women)
 
 
 # -- textual format ----------------------------------------------------

@@ -1,6 +1,13 @@
-"""Shared helpers: random generators and structural invariant checks."""
+"""Shared helpers: random generators, test oracles and structural
+invariant checks.
+
+The oracles restate a definition directly and share no helper with the
+code they check: the brute-force counts, the pairwise rotation
+constructions and the lattice operations live here, not in the package.
+"""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,16 +18,14 @@ from stablecount import (
     OneAttributeSpec,
     Rotation,
     Side,
+    SizeLimitError,
     TieDetected,
     apply_rotation,
-    brute_force_independent_sets,
+    blocking_pairs,
     compare_values,
-    eliminated_pairs,
     enumerate_stable_matchings,
-    explicitly_precedes,
     find_all_rotations,
     is_stable,
-    lattice_meet_join,
     propose_optimal,
     rotation_poset,
 )
@@ -93,6 +98,43 @@ def all_small_bipartite(max_edges: int):
     return out
 
 
+def brute_force_stable_matchings(inst: Instance) -> list[Matching]:
+    """All stable matchings by checking every permutation.  Only viable
+    for small n."""
+    if inst.n > 8:
+        raise SizeLimitError("size bound exceeded: brute force needs n <= 8")
+    out = []
+    for perm in itertools.permutations(range(1, inst.n + 1)):
+        matching = Matching(perm)
+        if is_stable(inst, matching):
+            out.append(matching)
+    return out
+
+
+def brute_force_independent_sets(graph: BipartiteGraph) -> int:
+    """Count independent sets by testing every vertex subset."""
+    if graph.size > 24:
+        raise SizeLimitError("size bound exceeded: subset oracle needs n1+n2 <= 24")
+    adj = [0] * graph.size
+    for u, v in graph.edges:
+        a, b = u - 1, graph.n1 + v - 1
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    count = 0
+    for mask in range(1 << graph.size):
+        rest = mask
+        ok = True
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            if adj[x] & mask:
+                ok = False
+                break
+            rest &= rest - 1
+        if ok:
+            count += 1
+    return count
+
+
 def one_sided_independent_sets(graph: BipartiteGraph) -> int:
     """Count independent sets by enumerating subsets of the smaller side:
     the other side is free off the chosen vertices' neighbourhoods."""
@@ -159,6 +201,82 @@ def dot_instance_oracle(spec) -> Instance:
     )
 
 
+def lattice_meet_join(
+    inst: Instance, a: Matching, b: Matching
+) -> tuple[Matching, Matching]:
+    """The (max, min) of two stable matchings in the matching lattice.
+
+    Stable matchings form a distributive lattice whose minimum is the
+    man-optimal matching.  The max pairs every man with the wife he likes
+    less of his two (equivalently, every woman with the husband she
+    prefers); the min pairs him with the other one.  Both outputs are
+    stable; the inputs must be, and are checked.
+    """
+    if blocking_pairs(inst, a) or blocking_pairs(inst, b):
+        raise ValueError("lattice operations require stable matchings")
+    max_wives = []
+    min_wives = []
+    for m in range(1, inst.n + 1):
+        wa, wb = a.wife(m), b.wife(m)
+        if inst.man_rank(m, wa) <= inst.man_rank(m, wb):
+            min_wives.append(wa)
+            max_wives.append(wb)
+        else:
+            min_wives.append(wb)
+            max_wives.append(wa)
+    return Matching(tuple(max_wives)), Matching(tuple(min_wives))
+
+
+def truncated_lists(inst: Instance):
+    """Each person's preference list cut down to the span between their
+    best and worst stable partners (inclusive), as (men_lists,
+    women_lists).  Every stable pair lies inside these spans."""
+    mopt = propose_optimal(inst, Side.MAN)
+    wopt = propose_optimal(inst, Side.WOMAN)
+    men = []
+    for m in range(1, inst.n + 1):
+        lo = inst.man_rank(m, mopt.wife(m))
+        hi = inst.man_rank(m, wopt.wife(m))
+        men.append(inst.men_prefs[m - 1][lo - 1 : hi])
+    women = []
+    m_husb, w_husb = mopt.husbands(), wopt.husbands()
+    for w in range(1, inst.n + 1):
+        lo = inst.woman_rank(w, w_husb[w - 1])
+        hi = inst.woman_rank(w, m_husb[w - 1])
+        women.append(inst.women_prefs[w - 1][lo - 1 : hi])
+    return tuple(men), tuple(women)
+
+
+def eliminated_pairs(inst: Instance, rotation: Rotation) -> list[tuple[int, int]]:
+    """Pairs (m, w) ruled out of all later stable matchings by the
+    rotation: w trades her partner m_old for m_new, the man before m_old
+    in the cycle, and loses every man she ranks after m_new up to and
+    including m_old."""
+    out = []
+    pairs = rotation.pairs
+    for idx, (m_old, w) in enumerate(pairs):
+        lo = inst.woman_rank(w, pairs[idx - 1][0])
+        hi = inst.woman_rank(w, m_old)
+        out.extend(
+            (m, w) for m in inst.women_prefs[w - 1] if lo < inst.woman_rank(w, m) <= hi
+        )
+    return out
+
+
+def explicitly_precedes(inst: Instance, first: Rotation, second: Rotation) -> bool:
+    """True if `first` eliminates a pair (m, w) and `second` moves m to a
+    woman he likes less than w, forcing first before second in every
+    elimination order."""
+    if first == second:
+        return False
+    second_men = set(second.men())
+    for m, w in eliminated_pairs(inst, first):
+        if m in second_men:
+            if inst.man_rank(m, second.next_woman(m)) > inst.man_rank(m, w):
+                return True
+    return False
+
+
 def _restarting_suitor(inst: Instance, wives, husbands, best, m: int):
     """m's suitor, scanned from just below his wife every time."""
     wife = wives[m - 1]
@@ -169,6 +287,34 @@ def _restarting_suitor(inst: Instance, wives, husbands, best, m: int):
         if inst.woman_rank(w, husbands[w - 1]) > r >= inst.woman_rank(w, best[w - 1]):
             return w
     return None
+
+
+def _restarting_trace(inst: Instance, wives, husbands, best, m: int) -> Rotation:
+    """The rotation reached from m by following suitors and their
+    husbands until a woman repeats, every scan restarted."""
+    seq, seen = [(m, wives[m - 1])], {wives[m - 1]: 0}
+    w = _restarting_suitor(inst, wives, husbands, best, m)
+    while w not in seen:
+        assert w is not None, "suitor chain broke"
+        seen[w] = len(seq)
+        h = husbands[w - 1]
+        seq.append((h, w))
+        w = _restarting_suitor(inst, wives, husbands, best, h)
+    return Rotation(tuple(seq[seen[w]:]))
+
+
+def suitor(inst: Instance, matching: Matching, m: int):
+    """The first woman below m's wife on his list who prefers m to her
+    husband and does not rank m above her worst stable partner, or None."""
+    best = propose_optimal(inst, Side.WOMAN).husbands()
+    return _restarting_suitor(inst, matching.wives, matching.husbands(), best, m)
+
+
+def exposed_rotation_from(inst: Instance, matching: Matching, m: int) -> Rotation:
+    """The rotation exposed in `matching` that the suitor path from man m
+    runs into."""
+    best = propose_optimal(inst, Side.WOMAN).husbands()
+    return _restarting_trace(inst, matching.wives, matching.husbands(), best, m)
 
 
 def pairwise_rotation_poset(inst: Instance, man_order=None):
@@ -187,19 +333,11 @@ def pairwise_rotation_poset(inst: Instance, man_order=None):
     rotations, path = [], [Matching(tuple(wives))]
     while True:
         for m in order:
-            w = _restarting_suitor(inst, wives, husbands, best, m)
-            if w is not None:
+            if _restarting_suitor(inst, wives, husbands, best, m) is not None:
                 break
         else:
             break
-        seq, seen = [(m, wives[m - 1])], {wives[m - 1]: 0}
-        while w not in seen:
-            seen[w] = len(seq)
-            h = husbands[w - 1]
-            seq.append((h, w))
-            w = _restarting_suitor(inst, wives, husbands, best, h)
-            assert w is not None, "suitor chain broke"
-        rot = Rotation(tuple(seq[seen[w]:]))
+        rot = _restarting_trace(inst, wives, husbands, best, m)
         for m, _ in rot.pairs:
             nw = rot.next_woman(m)
             wives[m - 1] = nw
@@ -243,24 +381,22 @@ def check_structure(inst: Instance, rng: random.Random, pair_budget: int = 50):
     """Structural invariants every instance must satisfy:
 
     * the rotation walk visits each rotation exactly once, starts at the
-      man-optimal matching, ends at the woman-optimal one, and each step
-      applies the corresponding rotation to a stable matching;
+      man-optimal matching, ends at the woman-optimal one, and each
+      rotation, applied in discovery order, is exposed in a stable matching;
     * the rotation order is irreflexive, antisymmetric, and transitive;
     * the lattice meet and join of stable matchings are stable;
     * no (man, woman) pair is eliminated by more than one rotation.
     """
-    rotations, path = find_all_rotations(inst)
-    mopt = propose_optimal(inst, Side.MAN)
-    wopt = propose_optimal(inst, Side.WOMAN)
-
-    assert len(path) == len(rotations) + 1
-    assert path[0] == mopt
-    assert path[-1] == wopt
+    rotations, mopt, wopt = find_all_rotations(inst)
+    assert mopt == propose_optimal(inst, Side.MAN)
+    assert wopt == propose_optimal(inst, Side.WOMAN)
     assert len(set(rotations)) == len(rotations)
-    for t, rot in enumerate(rotations):
-        assert is_stable(inst, path[t])
-        assert apply_rotation(path[t], rot) == path[t + 1]
-    assert is_stable(inst, path[-1])
+    matching = mopt
+    for rot in rotations:
+        assert is_stable(inst, matching)
+        matching = apply_rotation(matching, rot)  # checks rot is exposed
+    assert matching == wopt
+    assert is_stable(inst, matching)
 
     rposet = rotation_poset(inst)
     k = len(rposet)

@@ -1,5 +1,5 @@
-import functools
 import random
+import sys
 
 import pytest
 
@@ -7,7 +7,7 @@ from conftest import GRAPH_3X4, independent_sets_oracle, random_instance
 from stablecount import (
     BipartiteGraph,
     Matching,
-    Poset,
+    counting,
     format_bipartite,
     format_instance,
     gen_partial_lists,
@@ -86,20 +86,30 @@ def test_enumerate_lists_matchings(write, capsys):
 
 def test_enumerate_counts_downsets_once(write, capsys, monkeypatch):
     counted = []
-    plain = Poset._downsets.func
+    plain = counting.count_downsets
 
-    def counting(poset):
+    def counted_count(poset):
         counted.append(poset.size)
         return plain(poset)
 
-    prop = functools.cached_property(counting)
-    prop.__set_name__(Poset, "_downsets")
-    monkeypatch.setattr(Poset, "_downsets", prop)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stablecount" and getattr(module, "count_downsets", None) is plain:
+            monkeypatch.setattr(module, "count_downsets", counted_count)
     path = write("inst.txt", format_instance(gen_partial_lists(GRAPH_3X4)))
     assert run(["enumerate", "--limit", "5", path]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "total 29" and len(out) == 6
     assert counted == [GRAPH_3X4.size]
+
+
+def test_enumerate_rejects_negative_limit(write, capsys):
+    path = write("inst.txt", format_instance(gen_partial_lists(GRAPH_3X4)))
+    assert run(["enumerate", "--limit", "-1", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --limit: must be non-negative, got -1" in captured.err
+    assert run(["enumerate", "--limit", "0", path]) == 0
+    assert capsys.readouterr().out == "total 29\n"
 
 
 def test_count_past_64_rotations(write, capsys):

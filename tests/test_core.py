@@ -46,6 +46,16 @@ def test_parse_rejects_missing_line():
         parse_instance("n 2\nm 1: 1 2\nw 1: 2 1\nw 2: 1 2\n")
 
 
+@pytest.mark.parametrize("size", ["\u00b3", "x", "-1", "2.0", ""])
+def test_parse_pins_bad_header_message(size):
+    # a superscript digit passes str.isdigit but not int(), so the header
+    # check must use isdecimal
+    with pytest.raises(ParseError) as err:
+        parse_instance(f"n {size}\nm 1: 1\nw 1: 1\n")
+    assert str(err.value) == "line 1: expected header 'n N'"
+    assert err.value.line == 1
+
+
 def test_parse_rejects_out_of_range():
     with pytest.raises(ParseError):
         parse_instance("n 1\nm 1: 2\nw 1: 1\n")

@@ -7,6 +7,8 @@ import pytest
 from conftest import (
     GRAPH_3X4,
     GRAPH_4X5,
+    brute_force_independent_sets,
+    brute_force_stable_matchings,
     independent_sets_oracle,
     random_bipartite,
     random_instance,
@@ -19,8 +21,6 @@ from stablecount import (
     Poset,
     Side,
     SizeLimitError,
-    brute_force_independent_sets,
-    brute_force_stable_matchings,
     count_downsets,
     count_independent_sets,
     count_stable_matchings,
@@ -34,7 +34,7 @@ from stablecount import (
     rotation_poset,
     verify_reduction,
 )
-from stablecount import gale_shapley
+from stablecount import counting, gale_shapley
 
 
 def chain(k):
@@ -110,7 +110,7 @@ def test_count_stable_matchings_past_64_rotations(seed, want):
     rposet = rotation_poset(inst, man_order=reversed_order)
     assert len(rposet) > 64
     assert count_stable_matchings(inst) == want
-    assert count_downsets(Poset.from_below(rposet.below)) == want
+    assert count_downsets(rposet) == want
 
 
 def test_enumerate_chain():
@@ -123,11 +123,17 @@ def test_enumerate_respects_limit():
     assert len(list(enumerate_downsets(antichain(5), limit=3))) == 3
 
 
+def test_enumerate_respects_limit_zero_and_rejects_negative():
+    assert list(enumerate_downsets(antichain(3), limit=0)) == []
+    with pytest.raises(ValueError, match="limit must be non-negative, got -2"):
+        list(enumerate_downsets(antichain(3), limit=-2))
+
+
 def test_enumerate_counts_nothing_first(monkeypatch):
     def refuse(poset):
         raise AssertionError("enumeration must not count")
 
-    monkeypatch.setattr(Poset, "_downsets", property(refuse))
+    monkeypatch.setattr(counting, "count_downsets", refuse)
     got = list(enumerate_downsets(antichain(21), limit=3))
     assert got == [frozenset(), {20}, {19}]
 

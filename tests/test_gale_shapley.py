@@ -2,15 +2,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_instance
+from conftest import brute_force_stable_matchings, lattice_meet_join, random_instance
 from stablecount import (
     Instance,
     Matching,
     Side,
     blocking_pairs,
-    brute_force_stable_matchings,
     is_stable,
-    lattice_meet_join,
     propose_optimal,
 )
 

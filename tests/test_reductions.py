@@ -2,19 +2,26 @@ import random
 
 import pytest
 
-from conftest import GRAPH_3X4, GRAPH_4X5, independent_sets_oracle, random_bipartite
+from conftest import (
+    GRAPH_3X4,
+    GRAPH_4X5,
+    brute_force_stable_matchings,
+    eliminated_pairs,
+    explicitly_precedes,
+    independent_sets_oracle,
+    random_bipartite,
+    suitor,
+    truncated_lists,
+)
 from stablecount import (
     enumerate_stable_matchings,
     BipartiteGraph,
     Matching,
     Side,
-    brute_force_stable_matchings,
     build_instance,
     count_independent_sets,
     count_stable_matchings,
     edge_cycles,
-    eliminated_pairs,
-    explicitly_precedes,
     find_all_rotations,
     gen_2euclidean,
     gen_3attribute,
@@ -23,8 +30,6 @@ from stablecount import (
     propose_optimal,
     read_tau,
     rotation_poset,
-    suitor,
-    truncated_lists,
     verify_reduction,
 )
 
@@ -104,7 +109,7 @@ def test_rotation_forms_partition_vertices():
     for g in [SINGLE_EDGE, GRAPH_3X4] + [random_bipartite(rng, 8) for _ in range(10)]:
         cp = edge_cycles(g)
         n = cp.n
-        rots, _ = find_all_rotations(gen_partial_lists(g))
+        rots = find_all_rotations(gen_partial_lists(g))[0]
         assert len(rots) == len(cp.rho_cycles) + len(cp.sigma_cycles)
         rho_sets = {
             frozenset((x, x) for x in cyc) | frozenset((n + x, n + x) for x in cyc)
@@ -119,7 +124,7 @@ def test_rotation_forms_partition_vertices():
 
 
 def test_fixed_graph_rotation_tally():
-    rots, _ = find_all_rotations(gen_partial_lists(GRAPH_3X4))
+    rots = find_all_rotations(gen_partial_lists(GRAPH_3X4))[0]
     cp = edge_cycles(GRAPH_3X4)
     n = cp.n
     rho_count = sum(1 for r in rots if all(m <= 2 * n for m in r.men()))
@@ -132,7 +137,7 @@ def test_rho_rotation_eliminates_only_own_b_partner():
     cp = edge_cycles(g)
     n = cp.n
     inst = gen_partial_lists(g)
-    rots, _ = find_all_rotations(inst)
+    rots = find_all_rotations(inst)[0]
     for rot in rots:
         if not all(m <= 2 * n for m in rot.men()):
             continue  # sigma-shaped
@@ -149,7 +154,7 @@ def test_precedence_structure_of_generated_instances():
         cp = edge_cycles(g)
         n = cp.n
         inst = gen_partial_lists(g)
-        rots, _ = find_all_rotations(inst)
+        rots = find_all_rotations(inst)[0]
         rho_rots = [r for r in rots if all(m <= 2 * n for m in r.men())]
         sigma_rots = [r for r in rots if r not in rho_rots]
         for r in rho_rots:

@@ -1,20 +1,29 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
 
-from conftest import pairwise_hasse, pairwise_rotation_poset, random_instance
-import stablecount
+from conftest import (
+    brute_force_stable_matchings,
+    eliminated_pairs,
+    explicitly_precedes,
+    exposed_rotation_from,
+    pairwise_hasse,
+    pairwise_rotation_poset,
+    random_instance,
+    suitor,
+    truncated_lists,
+)
 from stablecount import (
     Instance,
     Matching,
+    Poset,
     Rotation,
     Side,
     apply_rotation,
     blocking_pairs,
-    brute_force_stable_matchings,
-    eliminated_pairs,
-    exposed_rotation_from,
+    core,
     find_all_rotations,
     format_rotations,
     hasse_diagram,
@@ -22,8 +31,6 @@ from stablecount import (
     parse_rotation,
     propose_optimal,
     rotation_poset,
-    suitor,
-    truncated_lists,
 )
 
 
@@ -108,30 +115,44 @@ def test_exposed_rotation_suitor_links():
 
 def test_unique_stable_matching_has_no_rotations():
     inst = Instance(1, ((1,),), ((1,),))
-    rots, path = find_all_rotations(inst)
-    assert rots == []
-    assert path == [Matching((1,))]
+    assert find_all_rotations(inst) == ([], Matching((1,)), Matching((1,)))
 
 
 def test_walk_ends_at_woman_optimal():
     rng = random.Random(15)
     for _ in range(30):
         inst = random_instance(rng, rng.randint(1, 7))
-        rots, path = find_all_rotations(inst)
-        assert path[0] == propose_optimal(inst, Side.MAN)
-        assert path[-1] == propose_optimal(inst, Side.WOMAN)
-        assert len(path) == len(rots) + 1
-        for t, rot in enumerate(rots):
-            assert apply_rotation(path[t], rot) == path[t + 1]
+        rots, mopt, wopt = find_all_rotations(inst)
+        assert mopt == propose_optimal(inst, Side.MAN)
+        assert wopt == propose_optimal(inst, Side.WOMAN)
+        matching = mopt
+        for rot in rots:
+            matching = apply_rotation(matching, rot)  # rot must be exposed
+        assert matching == wopt
+
+
+def test_walk_builds_no_matching_per_rotation(monkeypatch):
+    inst = random_instance(random.Random(1), 400)
+    built = []
+    check = core.Matching.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(core.Matching, "__post_init__", counted)
+    rots, mopt, wopt = find_all_rotations(inst)
+    assert len(rots) >= 50
+    assert built == [mopt, wopt]
 
 
 def test_rotation_set_independent_of_man_order():
     rng = random.Random(21)
     for _ in range(20):
         inst = random_instance(rng, rng.randint(2, 6))
-        base, _ = find_all_rotations(inst)
+        base = find_all_rotations(inst)[0]
         order = tuple(rng.sample(range(1, inst.n + 1), inst.n))
-        other, _ = find_all_rotations(inst, man_order=order)
+        other = find_all_rotations(inst, man_order=order)[0]
         assert set(base) == set(other)
 
 
@@ -139,7 +160,7 @@ def test_eliminated_adjacent_interval():
     # woman 1's list (2, 1): swapping her from man 2 to man 1 eliminates
     # exactly the old partner
     inst = Instance(2, ((1, 2), (2, 1)), ((2, 1), (1, 2)))
-    rots, _ = find_all_rotations(inst)
+    rots = find_all_rotations(inst)[0]
     assert len(rots) == 1
     elim = eliminated_pairs(inst, rots[0])
     for w in rots[0].women():
@@ -151,7 +172,7 @@ def test_eliminated_pairs_unique_across_rotations():
     rng = random.Random(23)
     for _ in range(40):
         inst = random_instance(rng, rng.randint(1, 6))
-        rots, _ = find_all_rotations(inst)
+        rots = find_all_rotations(inst)[0]
         seen = set()
         for rot in rots:
             for pair in eliminated_pairs(inst, rot):
@@ -167,8 +188,6 @@ def test_poset_closure_matches_networkx():
         k = len(rposet)
         g = nx.DiGraph()
         g.add_nodes_from(range(k))
-        from stablecount import explicitly_precedes
-
         for i in range(k):
             for j in range(k):
                 if i != j and explicitly_precedes(
@@ -195,7 +214,7 @@ def test_rotation_poset_matches_pairwise_oracle(sizes):
         inst = random_instance(rng, n)
         for order in _orders(rng, n):
             rots, path, below = pairwise_rotation_poset(inst, order)
-            assert find_all_rotations(inst, order) == (rots, path)
+            assert find_all_rotations(inst, order) == (rots, path[0], path[-1])
             rposet = rotation_poset(inst, order)
             assert list(rposet.rotations) == rots
             assert rposet.below == below
@@ -204,13 +223,11 @@ def test_rotation_poset_matches_pairwise_oracle(sizes):
             assert hasse_diagram(rposet) == pairwise_hasse(below)
 
 
-def test_rotation_poset_takes_no_pairwise_path(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("pairwise rotation test in production")
-
-    for module in (stablecount, stablecount.rotations):
-        monkeypatch.setattr(module, "explicitly_precedes", refuse)
-        monkeypatch.setattr(module, "eliminated_pairs", refuse)
+def test_rotation_poset_takes_no_pairwise_path():
+    for name, module in sys.modules.items():
+        if name.split(".")[0] == "stablecount":
+            assert not hasattr(module, "explicitly_precedes"), name
+            assert not hasattr(module, "eliminated_pairs"), name
     rposet = rotation_poset(random_instance(random.Random(300), 300))
     assert len(rposet) > 0
 
@@ -218,6 +235,16 @@ def test_rotation_poset_takes_no_pairwise_path(monkeypatch):
 def test_poset_empty_when_no_rotations():
     inst = Instance(1, ((1,),), ((1,),))
     assert len(rotation_poset(inst)) == 0
+
+
+def test_rotation_poset_is_a_poset():
+    rposet = rotation_poset(random_instance(random.Random(35), 8))
+    assert isinstance(rposet, Poset)
+    assert len(rposet) == rposet.size == len(rposet.rotations) > 1
+    for j, mask in enumerate(rposet.below):
+        for i in range(len(rposet)):
+            assert rposet.precedes(i, j) == bool(mask >> i & 1)
+            assert (rposet.above[i] >> j & 1) == (mask >> i & 1)
 
 
 def test_hasse_chain_and_antichain():
