@@ -66,7 +66,6 @@ from .rotations import (
     Poset,
     Rotation,
     RotationPoset,
-    apply_rotation,
     find_all_rotations,
     format_rotations,
     hasse_diagram,

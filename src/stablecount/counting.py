@@ -157,12 +157,6 @@ class BipartiteGraph:
     def size(self) -> int:
         return self.n1 + self.n2
 
-    def left_neighbours(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u, x in self.edges if x == v)
-
-    def right_neighbours(self, u: int) -> tuple[int, ...]:
-        return tuple(v for x, v in self.edges if x == u)
-
 
 def poset_from_bipartite(graph: BipartiteGraph) -> Poset:
     """The height-one poset with each left vertex below its right

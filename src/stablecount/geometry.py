@@ -11,27 +11,25 @@ Three models induce preference lists from coordinates:
   and a signed preference scalar).
 
 Coordinates are exact: rationals, powers, and the values cos(2*pi*q) /
-sin(2*pi*q) for rational q, closed under products and sums.  Comparisons
-are certified — Euclidean distances are compared through exact rational
-arithmetic, and dot products through interval arithmetic.  Each dot-product
-score is built once and enclosed once in a 128-bit interval; scores whose
-enclosures do not overlap are ordered by them, and only the runs of
+sin(2*pi*q) for rational q, closed under products and sums, kept as sums
+of single cosines (see Value).  Comparisons are certified — Euclidean
+distances through exact rational arithmetic, dot products through integer
+enclosures of value * 2**bits.  Each dot-product score is built once and
+enclosed once to 128 bits after the binary point; only the runs of
 overlapping enclosures are sorted by exact pairwise comparison, which
-doubles the precision up to the fixed cap MAX_BITS (4096 bits).  If two
-scores cannot be separated the construction refuses to guess and raises
+doubles the bits up to the fixed cap MAX_BITS (4096 bits).  If two scores
+cannot be separated the construction refuses to guess and raises
 TieDetected.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-from mpmath import iv
+from math import gcd
+from typing import Sequence
 
 from .core import Instance, ParseError, _content_lines
 from .rotations import find_all_rotations
@@ -43,92 +41,90 @@ MAX_BITS = 4096
 
 class TieDetected(ValueError):
     """Two candidates score exactly alike (or could not be separated at
-    the precision cap); the model does not induce strict preferences."""
+    the precision cap); the model does not induce strict preferences.
+    ``person`` (such as ``"man 3"``) and the two ``candidates`` open the
+    message when given; ``bits`` is None for an exact tie and MAX_BITS
+    when the enclosures ran out of precision."""
+
+    def __init__(self, message: str, person=None, candidates=None, bits=None) -> None:
+        if person is not None:
+            a, b = candidates = tuple(sorted(candidates))
+            message = f"{person}: candidates {a} and {b} {message}"
+        super().__init__(message)
+        self.person, self.candidates, self.bits = person, candidates, bits
 
 
 # -- exact values ------------------------------------------------------
 
-# A value is a sum of terms; each term is a rational coefficient times a
-# product of cos/sin factors.  Factor ("cos", q) stands for cos(2*pi*q).
-Factor = tuple[str, Fraction]
-Term = tuple[Fraction, tuple[Factor, ...]]
+Term = tuple[Fraction, int, int]
 
 
-def _expand(coeff: Fraction, factors: tuple[Factor, ...]) -> Iterator[Term]:
-    # rewrite sin(q)^2 as 1 - cos(q)^2 so products of trig factors have a
-    # canonical form and norms like cos^2 + sin^2 cancel symbolically
-    for i in range(len(factors) - 1):
-        if factors[i][0] == "sin" and factors[i] == factors[i + 1]:
-            rest = factors[:i] + factors[i + 2:]
-            yield from _expand(coeff, rest)
-            cos2 = (("cos", factors[i][1]),) * 2
-            yield from _expand(-coeff, tuple(sorted(rest + cos2)))
-            return
-    yield coeff, factors
+def _add_cos(acc: dict, c: Fraction, a: int, b: int) -> None:
+    # add c * cos(2*pi*a/b) to acc, keyed by its angle folded into [0, 1/4)
+    a %= b
+    if 2 * a > b:
+        a = b - a  # cos is even
+    if 4 * a > b:
+        a, b, c = b - 2 * a, 2 * b, -c  # cos(q) = -cos(1/2 - q)
+    elif 4 * a == b:
+        return  # cos(1/4) = 0
+    g = gcd(a, b)
+    key = (a // g, b // g)
+    if key[1] == 6:
+        key, c = (0, 1), c / 2  # cos(1/6) = 1/2
+    acc[key] = acc.get(key, 0) + c
 
 
-def _merge(terms: Iterator[Term]) -> tuple[Term, ...]:
-    acc: dict[tuple[Factor, ...], Fraction] = {}
-    for coeff, factors in terms:
-        for c, f in _expand(coeff, factors):
-            acc[f] = acc.get(f, Fraction(0)) + c
-    return tuple(
-        sorted((c, f) for f, c in acc.items() if c != 0)
-    )
+def _terms(acc: dict) -> tuple[Term, ...]:
+    return tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c)
 
 
 @dataclass(frozen=True)
 class Value:
-    """An exact number: a rational combination of cos/sin at rational
-    multiples of a full turn."""
+    """An exact number in single-cosine normal form: nonzero terms (c, a, b)
+    meaning c * cos(2*pi*a/b), sorted by (a, b), a/b in lowest terms in
+    [0, 1/4), a = 0 for the rational part.  sin(q) is cos(1/4 - q) and
+    products become sums, so an exact mirror tie shows up as equal terms."""
 
     terms: tuple[Term, ...]
 
     @classmethod
     def rational(cls, x: Fraction | int) -> "Value":
         x = Fraction(x)
-        return cls(((x, ()),) if x else ())
+        return cls(((x, 0, 1),) if x else ())
 
     @classmethod
     def trig(cls, kind: str, turns: Fraction) -> "Value":
         if kind not in ("cos", "sin"):
             raise ValueError(f"unknown trig kind {kind!r}")
-        turns = Fraction(turns) % 1
-        sign = Fraction(1)
-        if turns > Fraction(1, 2):
-            # reflect into [0, 1/2]: cos is even, sin is odd about a turn
-            turns = 1 - turns
-            if kind == "sin":
-                sign = -sign
-        folds = {
-            ("cos", Fraction(0)): 1,
-            ("cos", Fraction(1, 4)): 0,
-            ("cos", Fraction(1, 2)): -1,
-            ("sin", Fraction(0)): 0,
-            ("sin", Fraction(1, 4)): 1,
-            ("sin", Fraction(1, 2)): 0,
-        }
-        if (kind, turns) in folds:
-            return cls.rational(sign * folds[kind, turns])
-        return cls(((sign, ((kind, turns),)),))
+        turns = Fraction(turns)
+        a, b = turns.numerator, turns.denominator
+        if kind == "sin":
+            a, b = b - 4 * a, 4 * b  # sin(q) = cos(1/4 - q)
+        acc = {}
+        _add_cos(acc, Fraction(1), a, b)
+        return cls(_terms(acc))
 
     def __add__(self, other: "Value") -> "Value":
-        return Value(_merge(iter(self.terms + other.terms)))
+        acc = {(a, b): c for c, a, b in self.terms}
+        for c, a, b in other.terms:
+            acc[a, b] = acc.get((a, b), 0) + c
+        return Value(_terms(acc))
 
     def __sub__(self, other: "Value") -> "Value":
         return self + (-other)
 
     def __neg__(self) -> "Value":
-        return Value(tuple((-c, f) for c, f in self.terms))
+        return Value(tuple((-c, a, b) for c, a, b in self.terms))
 
     def __mul__(self, other: "Value") -> "Value":
-        return Value(_merge(_product_terms(self, other)))
+        return _dot((self,), (other,))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_rational(self) -> bool:
-        return all(not f for _, f in self.terms)
+        return all(not a for _, a, _ in self.terms)
 
     def as_fraction(self) -> Fraction:
         if not self.terms:
@@ -142,60 +138,115 @@ Value.ZERO = Value(())
 Value.ONE = Value.rational(1)
 
 
-def _product_terms(a: Value, b: Value) -> Iterator[Term]:
-    # the unmerged terms of a * b
-    for c1, f1 in a.terms:
-        for c2, f2 in b.terms:
-            yield c1 * c2, tuple(sorted(f1 + f2))
-
-
 def _dot(u: Sequence[Value], v: Sequence[Value]) -> Value:
-    # one merge over every coordinate product gives the same terms as
-    # summing the merged products coordinate by coordinate
-    return Value(_merge(itertools.chain.from_iterable(map(_product_terms, u, v))))
+    # one merge over every coordinate product, each made a sum through
+    # 2 cos x cos y = cos(x - y) + cos(x + y)
+    acc = {}
+    for x, y in zip(u, v):
+        for c1, a1, b1 in x.terms:
+            for c2, a2, b2 in y.terms:
+                c = c1 * c2 / 2
+                p, q, b = a1 * b2, a2 * b1, b1 * b2
+                _add_cos(acc, c, p - q, b)
+                _add_cos(acc, c, p + q, b)
+    return Value(_terms(acc))
+
+
+# -- integer enclosures ------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_interval(kind: str, turns: Fraction, prec: int):
-    iv.prec = prec
-    angle = 2 * iv.pi * turns.numerator / turns.denominator
-    return iv.cos(angle) if kind == "cos" else iv.sin(angle)
+def _pi_interval(bits: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= pi * 2**bits <= hi and hi - lo <= 2.
+
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) at w = bits + 32: J
+    floored terms of arctan(1/n) * 2**w and the alternating tail after the
+    first zero term are off by less than J + 1, so the total by err << 2**31.
+    """
+    w = bits + 32
+    total = err = 0
+    for weight, n in ((16, 5), (-4, 239)):
+        power, j = (1 << w) // n, 0
+        while power:
+            term = power // (2 * j + 1)
+            total += -weight * term if j & 1 else weight * term
+            power //= n * n
+            j += 1
+        err += abs(weight) * (j + 1)
+    return (total - err) >> 32, -((-total - err) >> 32)
 
 
 @functools.lru_cache(maxsize=None)
-def _value_interval(terms: tuple[Term, ...], prec: int):
-    iv.prec = prec
-    total = iv.mpf(0)
-    for coeff, factors in terms:
-        part = iv.mpf(coeff.numerator) / coeff.denominator
-        for kind, turns in factors:
-            part = part * _factor_interval(kind, turns, prec)
-        total = total + part
-    return total
+def _cos_interval(a: int, b: int, bits: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= cos(2*pi*a/b) * 2**bits <= hi and
+    hi - lo <= 2, for 0 <= a/b < 1/4.
+
+    At w = bits + 20, 2*pi*a/b lies in [x, x + d] / 2**w, s = x / 2**w
+    < pi/2, y = floor(x**2 / 2**w).  The Taylor terms of cos(s) * 2**w are
+    T_k = floor(T_(k-1) y / (2**w (2k-1) 2k)) from T_0 = 2**w: T_1 is short
+    by less than 3/2, each later one by less than 1 + 1/9 plus 1/4 of the
+    shortfall before, so by less than 2, as is the Lagrange remainder at
+    the first zero term T_N.  So the sum is within 2N + d of the cosine,
+    below 2**19 (and hi - lo <= 2) for any bits up to about 10**5.
+    """
+    w = bits + 20
+    pi_lo, pi_hi = _pi_interval(w)
+    x = 2 * a * pi_lo // b
+    d = -(-2 * a * pi_hi // b) - x
+    y = x * x >> w
+    term = total = 1 << w
+    k = 0
+    while term:
+        k += 1
+        term = (term * y >> w) // ((2 * k - 1) * 2 * k)
+        total += -term if k & 1 else term
+    err = 2 * k + d
+    return (total - err) >> 20, -((-total - err) >> 20)
+
+
+def _value_interval(terms: tuple[Term, ...], bits: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= value * 2**bits <= hi and hi - lo <= 2.
+
+    Cosines are enclosed g guard bits deeper, 2**(g-1) > 4 sum(floor|c| + 1),
+    g a multiple of 32 so that similar values share them.  Scaled by c and
+    rounded outward, each term is off by at most 2|c| + 2 units there.
+    """
+    weight = sum(abs(c.numerator) // c.denominator + 1 for c, _, _ in terms)
+    g = 32 * (1 + (4 * weight).bit_length() // 32)
+    w = bits + g
+    lo = hi = 0
+    for c, a, b in terms:
+        p, q = c.numerator, c.denominator
+        x_lo, x_hi = _cos_interval(a, b, w)
+        if p < 0:
+            x_lo, x_hi = x_hi, x_lo
+        lo += p * x_lo // q
+        hi -= -p * x_hi // q
+    return lo >> g, -(-hi >> g)
 
 
 def compare_values(a: Value, b: Value) -> int:
     """Certified three-way comparison: -1, 0 (exact tie), or +1.
 
     Raises TieDetected when the difference is not symbolically zero but
-    interval evaluation, doubling the precision from DEFAULT_BITS, cannot
-    separate it from zero at MAX_BITS bits.
+    its integer enclosure, doubling the bits after the binary point from
+    DEFAULT_BITS, cannot separate it from zero at MAX_BITS bits.
     """
     diff = a - b
-    if diff.is_zero():
-        return 0
     if diff.is_rational():
-        return 1 if diff.as_fraction() > 0 else -1
-    prec = DEFAULT_BITS
-    while prec <= MAX_BITS:
-        x = _value_interval(diff.terms, prec)
-        if x.a > 0:
+        x = diff.as_fraction()
+        return (x > 0) - (x < 0)
+    bits = DEFAULT_BITS
+    while bits <= MAX_BITS:
+        lo, hi = _value_interval(diff.terms, bits)
+        if lo > 0:
             return 1
-        if x.b < 0:
+        if hi < 0:
             return -1
-        prec *= 2
+        bits *= 2
     raise TieDetected(
-        f"could not separate two scores at {MAX_BITS} bits of precision"
+        f"could not separate two scores at {MAX_BITS} bits of precision",
+        bits=MAX_BITS,
     )
 
 
@@ -203,47 +254,46 @@ def compare_values(a: Value, b: Value) -> int:
 
 _RAT = r"-?\d+(?:/\d+)?"
 _TOKEN_RE = re.compile(
-    rf"^(?:(?P<dec>-?\d+\.\d+)|(?P<rat>{_RAT})"
+    rf"^(?:(?P<rat>-?\d+\.\d+|{_RAT})"
     rf"|(?P<trig>cos|sin)\((?P<arg>{_RAT})\)"
     rf"|pow\((?P<base>{_RAT}),(?P<exp>-?\d+)\))$"
 )
 
 
 def parse_value(token: str) -> Value:
-    """Parse one coordinate token: a rational (``3``, ``-7/5``, ``0.3``),
-    ``cos(a/b)`` / ``sin(a/b)`` meaning cos/sin of 2*pi*a/b, ``pow(x,e)``,
-    or a ``*``-separated product of these."""
-    out = Value.ONE
-    for part in token.split("*"):
-        m = _TOKEN_RE.match(part)
-        if not m:
-            raise ValueError(f"bad coordinate token {part!r}")
-        if m["dec"] is not None:
-            val = Value.rational(Fraction(m["dec"]))
-        elif m["rat"] is not None:
-            val = Value.rational(Fraction(m["rat"]))
-        elif m["trig"] is not None:
-            val = Value.trig(m["trig"], Fraction(m["arg"]))
-        else:
-            val = Value.rational(Fraction(m["base"]) ** int(m["exp"]))
-        out = out * val
-    return out
+    """Parse one coordinate token: a ``+``-separated sum of ``*``-separated
+    products of rationals (``3``, ``-7/5``, ``0.3``), ``cos(a/b)`` /
+    ``sin(a/b)`` meaning cos/sin of 2*pi*a/b, and ``pow(x,e)``."""
+    total = Value.ZERO
+    for summand in token.split("+"):
+        out = Value.ONE
+        for part in summand.split("*"):
+            m = _TOKEN_RE.match(part)
+            if not m:
+                raise ValueError(f"bad coordinate token {part!r}")
+            if m["rat"] is not None:
+                val = Value.rational(Fraction(m["rat"]))
+            elif m["trig"] is not None:
+                val = Value.trig(m["trig"], Fraction(m["arg"]))
+            else:
+                val = Value.rational(Fraction(m["base"]) ** int(m["exp"]))
+            out = out * val
+        total = total + out
+    return total
 
 
 def format_value(value: Value) -> str:
+    """Write a value as a ``+``-separated sum of ``c*cos(a/b)`` terms (c
+    left out when it is 1, the rational part as plain ``c``)."""
     parts = []
-    for coeff, factors in value.terms:
-        bits = []
-        if coeff != 1 or not factors:
-            bits.append(str(coeff))
-        for kind, turns in factors:
-            bits.append(f"{kind}({turns})")
-        parts.append("*".join(bits))
-    if not parts:
-        return "0"
-    if len(parts) > 1:
-        raise ValueError("cannot format a sum as a single token")
-    return parts[0]
+    for c, a, b in value.terms:
+        if not a:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(f"cos({a}/{b})")
+        else:
+            parts.append(f"{c}*cos({a}/{b})")
+    return "+".join(parts) or "0"
 
 
 # -- model specifications ----------------------------------------------
@@ -320,12 +370,16 @@ class OneAttributeSpec:
 # -- inducing instances ------------------------------------------------
 
 
-def _sorted_by_score(scores: list[Value]) -> tuple[int, ...]:
+def _sorted_by_score(scores: list[Value], person: str) -> tuple[int, ...]:
     # descending by score; candidates are 1-based indices into scores
     def cmp(a: int, b: int) -> int:
-        c = compare_values(scores[a - 1], scores[b - 1])
+        try:
+            c = compare_values(scores[a - 1], scores[b - 1])
+        except TieDetected:
+            what = f"could not be separated at {MAX_BITS} bits of precision"
+            raise TieDetected(what, person, (a, b), MAX_BITS) from None
         if c == 0:
-            raise TieDetected(f"candidates {a} and {b} score exactly alike")
+            raise TieDetected("score exactly alike", person, (a, b))
         return -c
 
     key = functools.cmp_to_key(cmp)
@@ -338,12 +392,12 @@ def _sorted_by_score(scores: list[Value]) -> tuple[int, ...]:
     boxes = [_value_interval(score.terms, DEFAULT_BITS) for score in scores]
     runs: list[list[int]] = []
     floor = None
-    for c in sorted(candidates, key=lambda c: boxes[c - 1].b, reverse=True):
-        box = boxes[c - 1]
-        if floor is None or box.b < floor:
+    for c in sorted(candidates, key=lambda c: boxes[c - 1][1], reverse=True):
+        lo, hi = boxes[c - 1]
+        if floor is None or hi < floor:
             runs.append([])
         runs[-1].append(c)
-        floor = box.a if floor is None else min(floor, box.a)
+        floor = lo if floor is None else min(floor, lo)
     return tuple(c for run in runs for c in sorted(run, key=key))
 
 
@@ -353,29 +407,40 @@ def instance_from_dot(spec: AttributeSpec) -> Instance:
     Raises TieDetected if any person's scores cannot be strictly ordered.
     """
     men_lists = []
-    for pref in spec.men_pref:
+    for i, pref in enumerate(spec.men_pref, start=1):
         scores = [_dot(pref, pos) for pos in spec.women_pos]
-        men_lists.append(_sorted_by_score(scores))
+        men_lists.append(_sorted_by_score(scores, f"man {i}"))
     women_lists = []
-    for pref in spec.women_pref:
+    for j, pref in enumerate(spec.women_pref, start=1):
         scores = [_dot(pref, pos) for pos in spec.men_pos]
-        women_lists.append(_sorted_by_score(scores))
+        women_lists.append(_sorted_by_score(scores, f"woman {j}"))
     return Instance(spec.n, tuple(men_lists), tuple(women_lists))
+
+
+def _ascending(keys: list, person: str, what: str) -> tuple[int, ...]:
+    # candidates 1..len(keys) by ascending key; equal keys are a tie
+    order = tuple(sorted(range(1, len(keys) + 1), key=lambda i: keys[i - 1]))
+    for a, b in zip(order, order[1:]):
+        if keys[a - 1] == keys[b - 1]:
+            raise TieDetected(what, person, (a, b))
+    return order
 
 
 def instance_from_euclidean(spec: EuclideanSpec) -> Instance:
     """Build the instance induced by a Euclidean model, comparing exact
     squared distances.  Raises TieDetected on equidistant candidates."""
-    def ranking(ideal, positions) -> tuple[int, ...]:
+    def ranking(ideal, positions, person: str) -> tuple[int, ...]:
         dists = [
             sum((a - b) ** 2 for a, b in zip(ideal, pos)) for pos in positions
         ]
-        if len(set(dists)) != len(dists):
-            raise TieDetected("two candidates are exactly equidistant")
-        return tuple(sorted(range(1, len(dists) + 1), key=lambda i: dists[i - 1]))
+        return _ascending(dists, person, "are exactly equidistant")
 
-    men_lists = tuple(ranking(p, spec.women_pos) for p in spec.men_pref)
-    women_lists = tuple(ranking(p, spec.men_pos) for p in spec.women_pref)
+    men_lists = tuple(
+        ranking(p, spec.women_pos, f"man {i}") for i, p in enumerate(spec.men_pref, 1)
+    )
+    women_lists = tuple(
+        ranking(p, spec.men_pos, f"woman {j}") for j, p in enumerate(spec.women_pref, 1)
+    )
     return Instance(spec.n, men_lists, women_lists)
 
 
@@ -384,16 +449,14 @@ def instance_from_1attribute(spec: OneAttributeSpec) -> Instance:
 
     A person with positive preference scalar ranks the other side by
     descending attribute, with negative scalar by ascending attribute, so
-    each side uses at most two lists and those two are reverses.
+    each side uses at most two lists and those two are reverses.  Two
+    equal attributes tie for everyone on the other side; the error names
+    its first person.
     """
-    def orders(attrs: list[Fraction]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        if len(set(attrs)) != len(attrs):
-            raise TieDetected("two candidates have the same attribute")
-        asc = tuple(sorted(range(1, len(attrs) + 1), key=lambda i: attrs[i - 1]))
-        return asc, tuple(reversed(asc))
-
-    w_asc, w_desc = orders([a for a, _ in spec.women])
-    m_asc, m_desc = orders([a for a, _ in spec.men])
+    what = "have the same attribute"
+    w_asc = _ascending([a for a, _ in spec.women], "man 1", what)
+    m_asc = _ascending([a for a, _ in spec.men], "woman 1", what)
+    w_desc, m_desc = w_asc[::-1], m_asc[::-1]
     men_lists = tuple(w_desc if p > 0 else w_asc for _, p in spec.men)
     women_lists = tuple(m_desc if p > 0 else m_asc for _, p in spec.women)
     return Instance(spec.n, men_lists, women_lists)
@@ -493,8 +556,7 @@ def parse_geometric(text: str):
 def format_geometric(spec) -> str:
     if isinstance(spec, AttributeSpec):
         model, k = "dot", spec.k
-        def fmt(x: Value) -> str:
-            return format_value(x)
+        fmt = format_value
         blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
     elif isinstance(spec, EuclideanSpec):
         model, k = "euclid", spec.k

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .core import Instance, Matching
 from .counting import BipartiteGraph, count_downsets, count_independent_sets
@@ -36,7 +37,8 @@ class CyclePair:
     ``edges[x-1]`` is the edge with label x (labels follow the
     lexicographic (left, right) order).  ``rho`` cycles the labels around
     each left vertex, ``sigma`` around each right vertex; cycles are
-    listed in vertex order, each starting at its smallest label.
+    listed in vertex order, each starting at its smallest label, so cycle
+    i belongs to vertex i + 1 (every vertex has an edge).
     """
 
     n: int
@@ -45,23 +47,19 @@ class CyclePair:
     sigma: tuple[int, ...]
     rho_cycles: tuple[tuple[int, ...], ...]
     sigma_cycles: tuple[tuple[int, ...], ...]
-    rho_vertices: tuple[int, ...]  # left vertex owning each rho-cycle
-    sigma_vertices: tuple[int, ...]
 
 
 def edge_cycles(graph: BipartiteGraph) -> CyclePair:
     edges = graph.edges  # already sorted lexicographically
     n = len(edges)
-    rho_cycles, rho_vertices = [], []
-    sigma_cycles, sigma_vertices = [], []
-    for u in range(1, graph.n1 + 1):
-        cycle = tuple(x for x, (a, _) in enumerate(edges, start=1) if a == u)
-        rho_cycles.append(cycle)
-        rho_vertices.append(u)
-    for v in range(1, graph.n2 + 1):
-        cycle = tuple(x for x, (_, b) in enumerate(edges, start=1) if b == v)
-        sigma_cycles.append(cycle)
-        sigma_vertices.append(v)
+    rho_cycles = [
+        tuple(x for x, (a, _) in enumerate(edges, start=1) if a == u)
+        for u in range(1, graph.n1 + 1)
+    ]
+    sigma_cycles = [
+        tuple(x for x, (_, b) in enumerate(edges, start=1) if b == v)
+        for v in range(1, graph.n2 + 1)
+    ]
     rho, sigma = [0] * n, [0] * n
     for cycle in rho_cycles:
         for i, x in enumerate(cycle):
@@ -70,14 +68,7 @@ def edge_cycles(graph: BipartiteGraph) -> CyclePair:
         for i, x in enumerate(cycle):
             sigma[x - 1] = cycle[(i + 1) % len(cycle)]
     return CyclePair(
-        n,
-        edges,
-        tuple(rho),
-        tuple(sigma),
-        tuple(rho_cycles),
-        tuple(sigma_cycles),
-        tuple(rho_vertices),
-        tuple(sigma_vertices),
+        n, edges, tuple(rho), tuple(sigma), tuple(rho_cycles), tuple(sigma_cycles)
     )
 
 
@@ -158,19 +149,29 @@ def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
     preference vectors of B-men and a-women respond to.  Requires n >= 2:
     with a single edge the group spacing degenerates.
 
-    The tilted preference vectors get an extra angular nudge of theta/1009:
-    placed exactly over their owner's partner they would see the two
-    neighbouring a-women (or B-men) of the same cycle as exact mirror
-    images with identical scores, and no strict list would exist.  The
-    nudge is orders of magnitude below every angular gap the construction
-    relies on, so the stable structure is untouched; it only decides
-    comparisons that lie strictly below everyone's worst stable partner.
+    Every preference angle is nudged by theta/P (omega/P on the rho side),
+    P the smallest prime above 7n.  A preference at angle t scores a
+    candidate at angle u as cos(t - u) (times sin(phi) for the tilted ones)
+    plus a z-term that sets candidates of different z far apart, so two
+    candidates tie exactly only when u1 = u2 or 2t = u1 + u2 (mod 1).  No
+    two candidates share an angle, and every other denominator in play
+    divides 15 l n^2 (7p - 1) with l, p <= n, whose factors are below P;
+    P is odd, so 2t has P in its denominator and u1 + u2 cannot.  The
+    nudge, at most theta/17, stays inside the margin of every order the
+    construction needs: theta/10 for a C-man's a-woman before a b-woman
+    (and a b-woman's B-man before a C-man), where it moves towards the
+    first, and theta/3 or more elsewhere.
     """
     cp = edge_cycles(graph)
     n = cp.n
     if n < 2:
         raise ValueError("the 3-attribute construction needs at least 2 edges")
-    nudge = Fraction(1, 1009)  # prime denominator: cannot recreate a mirror
+    prime = 7 * n + 1
+    while any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
+        prime += 1
+    nudge = Fraction(1, prime)
+    # preference offsets from the group start, in units of theta or omega
+    r4, r8, r14 = 4 + nudge, Fraction(8, 5) + nudge, Fraction(14, 3) + nudge
     phi = Fraction(1, 100)  # tilt of the z-heavy preference vectors, in turns
     sin_phi = Value.trig("sin", phi)
     cos_phi = Value.trig("cos", phi)
@@ -205,11 +206,9 @@ def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
                 Value.rational(Fraction(4) ** cp.rho[x - 1]),
             )
             wpos[2 * n + prev - 1] = circle(base + 7 * m * theta, zero)  # c_prev
-            mpref[x - 1] = circle(base + (7 * m + Fraction(14, 3)) * theta, zero)
-            mpref[n + x - 1] = tilted(base + (7 * m + 4 + nudge) * theta)  # B_x
-            mpref[2 * n + prev - 1] = circle(
-                base + (7 * m + Fraction(8, 5)) * theta, zero
-            )
+            mpref[x - 1] = circle(base + (7 * m + r14) * theta, zero)
+            mpref[n + x - 1] = tilted(base + (7 * m + r4) * theta)  # B_x
+            mpref[2 * n + prev - 1] = circle(base + (7 * m + r8) * theta, zero)
     k = len(cp.rho_cycles)
     for i, cyc in enumerate(cp.rho_cycles, start=1):
         q = len(cyc)
@@ -223,11 +222,9 @@ def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
                 base + (7 * m + 6) * omega,
                 Value.rational(Fraction(4) ** x),
             )
-            wpref[x - 1] = tilted(base + (7 * m + 4 + nudge) * omega)  # a_x
-            wpref[n + x - 1] = circle(base + (7 * m + Fraction(8, 5)) * omega, zero)
-            wpref[2 * n + x - 1] = circle(
-                base + (7 * m + Fraction(14, 3)) * omega, zero
-            )
+            wpref[x - 1] = tilted(base + (7 * m + r4) * omega)  # a_x
+            wpref[n + x - 1] = circle(base + (7 * m + r8) * omega, zero)
+            wpref[2 * n + x - 1] = circle(base + (7 * m + r14) * omega, zero)
     return AttributeSpec(3, size, tuple(mpos), tuple(mpref), tuple(wpos), tuple(wpref))
 
 
@@ -427,7 +424,7 @@ def verify_reduction(graph: BipartiteGraph, model: str = "lists") -> ReductionRe
         for i, j in hasse_diagram(rposet):
             ki, kj = kinds[i], kinds[j]
             if ki[0] == "rho" and kj[0] == "sigma":
-                got_edges.add((cp.rho_vertices[ki[1]], cp.sigma_vertices[kj[1]]))
+                got_edges.add((ki[1] + 1, kj[1] + 1))
             else:
                 iso_ok = False
                 problems.append(f"cover edge {ki}->{kj} is not rho->sigma")

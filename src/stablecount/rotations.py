@@ -123,17 +123,6 @@ def _scan_starts(inst: Instance, wives: Sequence[int]) -> list[int]:
     return [rank[w - 1] for rank, w in zip(inst._men_rank, wives)]
 
 
-def apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
-    """Shift every man in the rotation to the next woman in the cycle."""
-    wives = list(matching.wives)
-    k = len(rotation.pairs)
-    for idx, (m, w) in enumerate(rotation.pairs):
-        if matching.wife(m) != w:
-            raise ValueError(f"rotation pair ({m},{w}) not matched")
-        wives[m - 1] = rotation.pairs[(idx + 1) % k][1]
-    return Matching(tuple(wives))
-
-
 def find_all_rotations(
     inst: Instance, man_order: tuple[int, ...] | None = None
 ) -> tuple[list[Rotation], Matching, Matching]:

@@ -20,7 +20,6 @@ from stablecount import (
     Side,
     SizeLimitError,
     TieDetected,
-    apply_rotation,
     blocking_pairs,
     compare_values,
     enumerate_stable_matchings,
@@ -375,6 +374,18 @@ GRAPH_3X4 = BipartiteGraph(
 GRAPH_4X5 = BipartiteGraph(
     4, 5, ((1, 1), (1, 3), (1, 4), (2, 1), (2, 2), (3, 3), (4, 4), (4, 5))
 )
+
+
+def apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
+    """Shift every man in the rotation to the next woman in the cycle;
+    every pair of the rotation must be matched."""
+    wives = list(matching.wives)
+    k = len(rotation.pairs)
+    for idx, (m, w) in enumerate(rotation.pairs):
+        if matching.wife(m) != w:
+            raise ValueError(f"rotation pair ({m},{w}) not matched")
+        wives[m - 1] = rotation.pairs[(idx + 1) % k][1]
+    return Matching(tuple(wives))
 
 
 def check_structure(inst: Instance, rng: random.Random, pair_budget: int = 50):

@@ -1,4 +1,6 @@
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -219,4 +221,15 @@ def test_tie_detection_exits_one(write, capsys):
     assert run(["count", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert captured.err == "error: man 1: candidates 1 and 2 score exactly alike\n"
+
+
+def test_cli_imports_without_mpmath():
+    code = "import sys, stablecount.cli; print('mpmath' in sys.modules)"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"

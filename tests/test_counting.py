@@ -34,7 +34,7 @@ from stablecount import (
     rotation_poset,
     verify_reduction,
 )
-from stablecount import counting, gale_shapley
+from stablecount import gale_shapley
 
 
 def chain(k):
@@ -86,13 +86,17 @@ def test_count_chain_and_antichain():
         assert count_downsets(antichain(k)) == 2**k
 
 
-def test_count_rejects_oversized():
+def over_budget_poset() -> Poset:
     # a random 40+40 height-one poset needs more memo entries than the budget
     rng = random.Random(0)
     below = [0] * 40 + [
         sum(1 << u for u in range(40) if rng.random() < 0.1) for _ in range(40)
     ]
-    poset = Poset.from_below(tuple(below))
+    return Poset.from_below(tuple(below))
+
+
+def test_count_rejects_oversized():
+    poset = over_budget_poset()
     message = (
         f"size bound exceeded: memo budget of {MEMO_BUDGET} entries "
         f"used up on a poset of 80 elements"
@@ -129,11 +133,15 @@ def test_enumerate_respects_limit_zero_and_rejects_negative():
         list(enumerate_downsets(antichain(3), limit=-2))
 
 
-def test_enumerate_counts_nothing_first(monkeypatch):
-    def refuse(poset):
-        raise AssertionError("enumeration must not count")
-
-    monkeypatch.setattr(counting, "count_downsets", refuse)
+def test_enumerate_counts_nothing_first():
+    # counting this poset uses up the memo budget, so an enumeration that
+    # counted first could not give these three downsets
+    poset = over_budget_poset()
+    got = list(enumerate_downsets(poset, limit=3))
+    assert len(set(got)) == 3
+    for downset in got:
+        for x in downset:
+            assert all(y in downset for y in range(poset.size) if poset.precedes(y, x))
     got = list(enumerate_downsets(antichain(21), limit=3))
     assert got == [frozenset(), {20}, {19}]
 

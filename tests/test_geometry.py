@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import stablecount.geometry
@@ -30,7 +31,16 @@ from stablecount import (
     parse_geometric,
     rotation_poset,
 )
-from stablecount.geometry import Value, _dot, format_value, parse_value
+from stablecount.geometry import (
+    MAX_BITS,
+    Value,
+    _cos_interval,
+    _dot,
+    _pi_interval,
+    _value_interval,
+    format_value,
+    parse_value,
+)
 
 
 F = Fraction
@@ -77,10 +87,169 @@ def test_compare_values_signs():
     assert compare_values(Value.rational(1), Value.rational(2)) == -1
     assert compare_values(Value.trig("cos", F(1, 8)), Value.rational(0)) == 1
     assert compare_values(Value.trig("cos", F(1, 7)), Value.trig("cos", F(1, 7))) == 0
-    # cos(1/8) = sin(1/8) exactly but the representations differ; the
-    # interval loop must give up rather than guess
-    with pytest.raises(TieDetected):
-        compare_values(Value.trig("cos", F(1, 8)), Value.trig("sin", F(1, 8)))
+    # sin(1/8) is cos(1/4 - 1/8) in normal form: an exact tie
+    assert compare_values(Value.trig("cos", F(1, 8)), Value.trig("sin", F(1, 8))) == 0
+    # cos(1/5) + cos(2/5) = -1/2 exactly, a relation the normal form does
+    # not see; the enclosures must give up at MAX_BITS rather than guess
+    with pytest.raises(TieDetected) as err:
+        compare_values(
+            Value.trig("cos", F(1, 5)) + Value.trig("cos", F(2, 5)),
+            Value.rational(F(-1, 2)),
+        )
+    assert err.value.bits == MAX_BITS
+
+
+@pytest.mark.parametrize("bits", [128, 256, 1024, 4096])
+def test_enclosures_contain_mpmath_values(bits):
+    # mpmath is the oracle, 64 bits beyond the enclosure's own
+    rng = random.Random(bits)
+    with mpmath.workprec(bits + 64):
+        scale = mpmath.mpf(2) ** bits
+        lo, hi = _pi_interval(bits)
+        assert lo <= mpmath.pi * scale <= hi and hi - lo <= 4
+        draws = 0
+        while draws < 1000:
+            b = rng.randint(5, 10**9)
+            a = rng.randint(1, b // 4)
+            if 4 * a == b:
+                continue
+            draws += 1
+            lo, hi = _cos_interval(a, b, bits)
+            assert lo <= mpmath.cos(2 * mpmath.pi * a / b) * scale <= hi, (a, b)
+            assert hi - lo <= 4
+
+
+def test_value_enclosures_contain_mpmath_values():
+    # sums of large and small coefficients, each enclosed at 128 bits
+    rng = random.Random(19)
+    for _ in range(200):
+        value = Value.ZERO
+        for _ in range(rng.randint(1, 5)):
+            c = F(rng.randint(-10**30, 10**30), rng.randint(1, 10**6))
+            value = value + Value.rational(c) * Value.trig(
+                rng.choice(("cos", "sin")), F(rng.randint(0, 999), rng.randint(1, 1000))
+            )
+        with mpmath.workprec(512):
+            want = sum(
+                mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * a / b)
+                for c, a, b in value.terms
+            ) * mpmath.mpf(2) ** 128
+        lo, hi = _value_interval(value.terms, 128)
+        assert lo <= want <= hi and hi - lo <= 4
+
+
+def test_normal_form_folds_angles():
+    q = F(3, 40)
+    # cos(1/2 - q) = -cos(q), sin(q) = cos(1/4 - q), cos(1/6) = 1/2
+    assert Value.trig("cos", F(1, 2) - q) == -Value.trig("cos", q)
+    assert Value.trig("sin", q) == Value.trig("cos", F(1, 4) - q)
+    assert Value.trig("cos", F(1, 6)).as_fraction() == F(1, 2)
+    assert Value.trig("sin", F(7, 12)).as_fraction() == F(-1, 2)
+    # a circle dot product collapses to the single cosine of the difference
+    t, u = F(2, 7), F(5, 11)
+    dot = _dot(
+        (Value.trig("cos", t), Value.trig("sin", t)),
+        (Value.trig("cos", u), Value.trig("sin", u)),
+    )
+    assert dot == Value.trig("cos", t - u)
+    for value in (dot, Value.trig("sin", F(1, 100)) * Value.trig("cos", F(17, 19))):
+        for c, a, b in value.terms:
+            assert 0 <= F(a, b) < F(1, 4) and F(a, b).denominator == b
+
+
+def test_exact_mirror_tie_is_found_without_enclosures(monkeypatch):
+    # the man's preference at angle t sees women at t + 1/7 and t - 1/7
+    # as mirror images; their scores are the same single cosine
+    seen = []
+    enclose = stablecount.geometry._value_interval
+
+    def recorded(terms, bits):
+        seen.append(bits)
+        return enclose(terms, bits)
+
+    monkeypatch.setattr(stablecount.geometry, "_value_interval", recorded)
+    t = F(1, 10)
+
+    def circle(q):
+        return (Value.trig("cos", q), Value.trig("sin", q))
+
+    one = (Value.ONE, Value.ZERO)
+    spec = AttributeSpec(
+        2,
+        3,
+        men_pos=(one,) * 3,
+        men_pref=(circle(t), one, one),
+        women_pos=(circle(t + F(1, 7)), circle(F(1, 3)), circle(t - F(1, 7))),
+        women_pref=(one,) * 3,
+    )
+    with pytest.raises(TieDetected) as err:
+        instance_from_dot(spec)
+    assert str(err.value) == "man 1: candidates 1 and 3 score exactly alike"
+    assert err.value.person == "man 1"
+    assert err.value.candidates == (1, 3)
+    assert err.value.bits is None
+    assert seen and max(seen) == 128
+
+
+def test_tie_messages_name_person_and_candidates():
+    one, two = Value.rational(1), Value.rational(2)
+    spec = AttributeSpec(
+        1, 3,
+        men_pos=((one,), (two,), (one,)),
+        men_pref=((one,),) * 3,
+        women_pos=((one,), (two,), (Value.rational(3),)),
+        women_pref=((one,), (one,), (one,)),
+    )
+    with pytest.raises(TieDetected) as err:
+        instance_from_dot(spec)
+    assert str(err.value) == "woman 1: candidates 1 and 3 score exactly alike"
+
+    # cos(1/5) + cos(2/5) = -1/2, which only enclosures can compare
+    hidden = Value.trig("cos", F(1, 5)) + Value.trig("cos", F(2, 5))
+    spec = AttributeSpec(
+        1, 2,
+        men_pos=((one,), (two,)),
+        men_pref=((one,), (-one,)),
+        women_pos=((Value.rational(F(-1, 2)),), (hidden,)),
+        women_pref=((one,), (one,)),
+    )
+    with pytest.raises(TieDetected) as err:
+        instance_from_dot(spec)
+    assert str(err.value) == (
+        "man 1: candidates 1 and 2 could not be separated at 4096 bits of precision"
+    )
+    assert (err.value.person, err.value.candidates, err.value.bits) == (
+        "man 1", (1, 2), MAX_BITS
+    )
+
+    spec = EuclideanSpec(
+        1, 3,
+        men_pos=((F(0),), (F(1),), (F(2),)),
+        men_pref=((F(0),), (F(5),), (F(0),)),
+        women_pos=((F(4),), (F(9),), (F(6),)),  # 4 and 6 are 1 from 5
+        women_pref=((F(0),), (F(1),), (F(2),)),
+    )
+    with pytest.raises(TieDetected) as err:
+        instance_from_euclidean(spec)
+    assert str(err.value) == "man 2: candidates 1 and 3 are exactly equidistant"
+    assert (err.value.person, err.value.candidates, err.value.bits) == (
+        "man 2", (1, 3), None
+    )
+
+    spec = OneAttributeSpec(
+        3,
+        ((F(1), F(1)), (F(5), F(1)), (F(3), F(-1))),
+        ((F(1), F(1)), (F(2), F(1)), (F(2), F(1))),
+    )
+    with pytest.raises(TieDetected) as err:
+        instance_from_1attribute(spec)
+    assert str(err.value) == "man 1: candidates 2 and 3 have the same attribute"
+    spec = OneAttributeSpec(
+        2, ((F(7), F(1)), (F(7), F(1))), ((F(1), F(1)), (F(2), F(1)))
+    )
+    with pytest.raises(TieDetected) as err:
+        instance_from_1attribute(spec)
+    assert str(err.value) == "woman 1: candidates 1 and 2 have the same attribute"
 
 
 def test_parse_value_tokens():
@@ -96,8 +265,25 @@ def test_parse_value_tokens():
 
 
 def test_format_value_round_trip():
-    for tok in ("0", "5/2", "cos(1/9)", "sin(2/7)"):
+    for tok in ("0", "5/2", "cos(1/9)", "sin(2/7)", "2*cos(1/9)*sin(1/100)+pow(2,-3)"):
         assert parse_value(format_value(parse_value(tok))) == parse_value(tok)
+    value = Value.trig("sin", F(1, 100)) * Value.trig("cos", F(17, 19))
+    value = value + Value.rational(3)
+    assert format_value(value) == "3+1/2*cos(64/475)+-1/2*cos(147/950)"
+    assert parse_value(format_value(value)) == value
+    with pytest.raises(ValueError, match="bad coordinate token ''"):
+        parse_value("1+")
+
+
+def test_parse_value_reads_products_and_sin_as_sums():
+    # tokens as older files wrote them, products of cos and sin factors
+    t = F(7, 1476)
+    want = Value.trig("sin", F(1, 100)) * Value.trig("cos", t)
+    assert parse_value("cos(7/1476)*sin(1/100)") == want
+    want = -Value.trig("sin", F(1, 100)) * Value.trig("sin", t)
+    assert parse_value("-1*sin(7/1476)*sin(1/100)") == want
+    assert parse_value("sin(1/8)") == parse_value("cos(1/8)")
+    assert parse_value("cos(1/3)+1/2").is_zero()
 
 
 def test_dot_model_single_attribute_monotone():
@@ -190,21 +376,26 @@ def test_dot_sort_compares_inside_overlapping_enclosures(monkeypatch):
     def cos(q):
         return Value.trig("cos", F(1, q))
 
-    # 4**80 + cos(1/q): at 128 bits every enclosure is wider than the gaps
-    # between the scores, so only exact comparisons can order them
+    # 4**80 + cos(1/q) / 2**200: the scores differ by less than 2**-128,
+    # so their 128-bit enclosures overlap and only exact comparisons, at
+    # more bits, can order them
     big = Value.rational(4**80)
-    near = [big + cos(q) for q in (7, 5, 11, 9)]
+    tiny = Value.rational(F(1, 2**200))
+    near = [big + tiny * cos(q) for q in (7, 5, 11, 9)]
     inst = instance_from_dot(_ranked_by_one_attribute(near))
     assert inst.men_prefs[0] == (3, 4, 1, 2)
     assert calls
 
-    # this score is cos(1/5) ~ 0.31, but at 128 bits its enclosure spans
-    # more than 10**22 on each side, so it overlaps both points below it
-    wide = (
-        Value.rational(2**200) * (cos(7) + Value.trig("cos", F(2, 7)) + Value.trig("cos", F(3, 7)))
-        + Value.rational(2**199)
-        + cos(5)
-    )
+    # this score is cos(1/5) ~ 0.31; its enclosure is widened to overlap
+    # both points below it, so one run must take in all three
+    wide = cos(5)
+    enclose = stablecount.geometry._value_interval
+
+    def widened(terms, bits):
+        lo, hi = enclose(terms, bits)
+        return (lo - 2**140, hi + 2**140) if terms == wide.terms else (lo, hi)
+
+    monkeypatch.setattr(stablecount.geometry, "_value_interval", widened)
     inst = instance_from_dot(
         _ranked_by_one_attribute([wide, Value.rational(2), Value.rational(1)])
     )
@@ -365,3 +556,5 @@ def test_format_geometric_round_trip():
     assert parse_geometric(format_geometric(spec)) == spec
     dot = parse_geometric(GEO_TEXT)
     assert parse_geometric(format_geometric(dot)) == dot
+    attr3 = gen_3attribute(GRAPH_3X4)  # coordinates that are sums of cosines
+    assert parse_geometric(format_geometric(attr3)) == attr3

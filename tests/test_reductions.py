@@ -303,6 +303,27 @@ def test_verify_fixed_graphs():
     assert report.sm_count == 29
 
 
+def test_attr3_mirror_tie_repro():
+    # 16 edges: with only the tilted preferences nudged, woman b_5 scored
+    # A_2 and C_11 exactly alike, as mirror images about her preference
+    g = BipartiteGraph(7, 8, (
+        (1, 1), (1, 6), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+        (2, 8), (3, 5), (3, 6), (3, 7), (4, 5), (5, 1), (6, 6), (7, 8),
+    ))
+    report = verify_reduction(g, "attr3")
+    assert report.all_ok, str(report)
+    assert report.is_count == independent_sets_oracle(g)
+
+
+def test_attr3_never_ties_on_random_graphs():
+    rng = random.Random(2027)
+    for _ in range(20):
+        g = random_bipartite(rng, 25, min_edges=10)
+        assert 10 <= len(g.edges) <= 25
+        report = verify_reduction(g, "attr3")  # raises TieDetected on a tie
+        assert report.all_ok, str(report)
+
+
 def test_build_instance_rejects_unknown_model():
     with pytest.raises(ValueError):
         build_instance(SINGLE_EDGE, "nonsense")

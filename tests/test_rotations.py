@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from conftest import (
+    apply_rotation,
     brute_force_stable_matchings,
     eliminated_pairs,
     explicitly_precedes,
@@ -21,7 +22,6 @@ from stablecount import (
     Poset,
     Rotation,
     Side,
-    apply_rotation,
     blocking_pairs,
     core,
     find_all_rotations,
