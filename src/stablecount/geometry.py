@@ -12,14 +12,17 @@ Three models induce preference lists from coordinates:
 
 Coordinates are exact: rationals, powers, and the values cos(2*pi*q) /
 sin(2*pi*q) for rational q, closed under products and sums, kept as sums
-of single cosines (see Value).  Comparisons are certified — Euclidean
-distances through exact rational arithmetic, dot products through integer
-enclosures of value * 2**bits.  Each dot-product score is built once and
-enclosed once to 128 bits after the binary point; only the runs of
-overlapping enclosures are sorted by exact pairwise comparison, which
-doubles the bits up to the fixed cap MAX_BITS (4096 bits).  If two scores
-cannot be separated the construction refuses to guess and raises
-TieDetected.
+of single cosines (see Value).  Comparisons are certified, and both
+models compare integers after clearing denominators once.  Euclidean
+squared distances are taken with every coordinate scaled by the lcm of
+all coordinate denominators.  A dot product is summed over integer
+coefficients, one denominator per vector, and its score is compared
+through integer enclosures of value * 2**bits.  Each dot-product score
+is built once and enclosed once to 128 bits after the binary point; only
+the runs of overlapping enclosures are sorted by exact pairwise
+comparison, which doubles the bits up to the fixed cap MAX_BITS (4096
+bits).  If two scores cannot be separated the construction refuses to
+guess and raises TieDetected.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .core import Instance, ParseError, _content_lines
@@ -59,20 +62,21 @@ class TieDetected(ValueError):
 Term = tuple[Fraction, int, int]
 
 
-def _add_cos(acc: dict, c: Fraction, a: int, b: int) -> None:
-    # add c * cos(2*pi*a/b) to acc, keyed by its angle folded into [0, 1/4)
+def _fold(a: int, b: int) -> tuple[int, int, int]:
+    """(w, a', b') with cos(2*pi*a/b) = w/2 * cos(2*pi*a'/b'), a'/b' in
+    lowest terms in [0, 1/4) and w in {-2, -1, 0, 1, 2}."""
     a %= b
     if 2 * a > b:
         a = b - a  # cos is even
+    w = 2
     if 4 * a > b:
-        a, b, c = b - 2 * a, 2 * b, -c  # cos(q) = -cos(1/2 - q)
+        a, b, w = b - 2 * a, 2 * b, -2  # cos(q) = -cos(1/2 - q)
     elif 4 * a == b:
-        return  # cos(1/4) = 0
+        return 0, 0, 1  # cos(1/4) = 0
     g = gcd(a, b)
-    key = (a // g, b // g)
-    if key[1] == 6:
-        key, c = (0, 1), c / 2  # cos(1/6) = 1/2
-    acc[key] = acc.get(key, 0) + c
+    if b == 6 * g:
+        return w // 2, 0, 1  # cos(1/6) = 1/2
+    return w, a // g, b // g
 
 
 def _terms(acc: dict) -> tuple[Term, ...]:
@@ -101,9 +105,8 @@ class Value:
         a, b = turns.numerator, turns.denominator
         if kind == "sin":
             a, b = b - 4 * a, 4 * b  # sin(q) = cos(1/4 - q)
-        acc = {}
-        _add_cos(acc, Fraction(1), a, b)
-        return cls(_terms(acc))
+        w, a, b = _fold(a, b)
+        return cls(((Fraction(w, 2), a, b),) if w else ())
 
     def __add__(self, other: "Value") -> "Value":
         acc = {(a, b): c for c, a, b in self.terms}
@@ -138,18 +141,40 @@ Value.ZERO = Value(())
 Value.ONE = Value.rational(1)
 
 
-def _dot(u: Sequence[Value], v: Sequence[Value]) -> Value:
+Scaled = tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]
+
+
+def _scaled(vec: Sequence[Value]) -> Scaled:
+    # (d, rows): each coordinate's terms as (c * d, a, b), d the lcm of
+    # every coefficient denominator in the vector, so each c * d is an int
+    d = lcm(*(c.denominator for x in vec for c, _, _ in x.terms))
+    return d, tuple(
+        tuple((c.numerator * (d // c.denominator), a, b) for c, a, b in x.terms)
+        for x in vec
+    )
+
+
+def _scaled_dot(u: Scaled, v: Scaled) -> Value:
     # one merge over every coordinate product, each made a sum through
-    # 2 cos x cos y = cos(x - y) + cos(x + y)
+    # 2 cos x cos y = cos(x - y) + cos(x + y); with the folds' w/2 every
+    # sum term is an integer over 4 du dv
+    (du, xs), (dv, ys) = u, v
     acc = {}
-    for x, y in zip(u, v):
-        for c1, a1, b1 in x.terms:
-            for c2, a2, b2 in y.terms:
-                c = c1 * c2 / 2
+    for x, y in zip(xs, ys):
+        for n1, a1, b1 in x:
+            for n2, a2, b2 in y:
+                n = n1 * n2
                 p, q, b = a1 * b2, a2 * b1, b1 * b2
-                _add_cos(acc, c, p - q, b)
-                _add_cos(acc, c, p + q, b)
-    return Value(_terms(acc))
+                for w, a, b in (_fold(p - q, b), _fold(p + q, b)):
+                    if w:
+                        acc[a, b] = acc.get((a, b), 0) + w * n
+    d = 4 * du * dv
+    return Value(tuple((Fraction(c, d), a, b) for (a, b), c in sorted(acc.items()) if c))
+
+
+def _dot(u: Sequence[Value], v: Sequence[Value]) -> Value:
+    # instance_from_dot scales each vector once and calls _scaled_dot
+    return _scaled_dot(_scaled(u), _scaled(v))
 
 
 # -- integer enclosures ------------------------------------------------
@@ -271,12 +296,15 @@ def parse_value(token: str) -> Value:
             m = _TOKEN_RE.match(part)
             if not m:
                 raise ValueError(f"bad coordinate token {part!r}")
-            if m["rat"] is not None:
-                val = Value.rational(Fraction(m["rat"]))
-            elif m["trig"] is not None:
-                val = Value.trig(m["trig"], Fraction(m["arg"]))
-            else:
-                val = Value.rational(Fraction(m["base"]) ** int(m["exp"]))
+            try:
+                if m["rat"] is not None:
+                    val = Value.rational(Fraction(m["rat"]))
+                elif m["trig"] is not None:
+                    val = Value.trig(m["trig"], Fraction(m["arg"]))
+                else:
+                    val = Value.rational(Fraction(m["base"]) ** int(m["exp"]))
+            except ZeroDivisionError:
+                raise ValueError(f"division by zero in coordinate token {part!r}") from None
             out = out * val
         total = total + out
     return total
@@ -406,13 +434,17 @@ def instance_from_dot(spec: AttributeSpec) -> Instance:
 
     Raises TieDetected if any person's scores cannot be strictly ordered.
     """
+    men_pos, men_pref, women_pos, women_pref = (
+        [_scaled(vec) for vec in vecs]
+        for vecs in (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
+    )
     men_lists = []
-    for i, pref in enumerate(spec.men_pref, start=1):
-        scores = [_dot(pref, pos) for pos in spec.women_pos]
+    for i, pref in enumerate(men_pref, start=1):
+        scores = [_scaled_dot(pref, pos) for pos in women_pos]
         men_lists.append(_sorted_by_score(scores, f"man {i}"))
     women_lists = []
-    for j, pref in enumerate(spec.women_pref, start=1):
-        scores = [_dot(pref, pos) for pos in spec.men_pos]
+    for j, pref in enumerate(women_pref, start=1):
+        scores = [_scaled_dot(pref, pos) for pos in men_pos]
         women_lists.append(_sorted_by_score(scores, f"woman {j}"))
     return Instance(spec.n, tuple(men_lists), tuple(women_lists))
 
@@ -428,7 +460,17 @@ def _ascending(keys: list, person: str, what: str) -> tuple[int, ...]:
 
 def instance_from_euclidean(spec: EuclideanSpec) -> Instance:
     """Build the instance induced by a Euclidean model, comparing exact
-    squared distances.  Raises TieDetected on equidistant candidates."""
+    squared distances.  Every coordinate is scaled once by the lcm of all
+    their denominators, which keeps every order and exact tie, so the
+    distances compared are integers.  Raises TieDetected on equidistant
+    candidates."""
+    vecs = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
+    d = lcm(*(x.denominator for block in vecs for vec in block for x in vec))
+    men_pos, men_pref, women_pos, women_pref = (
+        [[x.numerator * (d // x.denominator) for x in vec] for vec in block]
+        for block in vecs
+    )
+
     def ranking(ideal, positions, person: str) -> tuple[int, ...]:
         dists = [
             sum((a - b) ** 2 for a, b in zip(ideal, pos)) for pos in positions
@@ -436,10 +478,10 @@ def instance_from_euclidean(spec: EuclideanSpec) -> Instance:
         return _ascending(dists, person, "are exactly equidistant")
 
     men_lists = tuple(
-        ranking(p, spec.women_pos, f"man {i}") for i, p in enumerate(spec.men_pref, 1)
+        ranking(p, women_pos, f"man {i}") for i, p in enumerate(men_pref, 1)
     )
     women_lists = tuple(
-        ranking(p, spec.men_pos, f"woman {j}") for j, p in enumerate(spec.women_pref, 1)
+        ranking(p, men_pos, f"woman {j}") for j, p in enumerate(women_pref, 1)
     )
     return Instance(spec.n, men_lists, women_lists)
 

@@ -3,13 +3,15 @@ invariant checks.
 
 The oracles restate a definition directly and share no helper with the
 code they check: the brute-force counts, the pairwise rotation
-constructions and the lattice operations live here, not in the package.
+constructions, the lattice operations and the geometric scores in
+Fraction arithmetic live here, not in the package.
 """
 
 import functools
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 from stablecount import (
     BipartiteGraph,
@@ -168,11 +170,41 @@ def independent_sets_oracle(graph: BipartiteGraph) -> int:
     return one_sided_independent_sets(graph)
 
 
+def _add_cos(acc: dict, c: Fraction, a: int, b: int) -> None:
+    # add c * cos(2*pi*a/b) to acc, keyed by its angle folded into [0, 1/4)
+    a %= b
+    if 2 * a > b:
+        a = b - a  # cos is even
+    if 4 * a > b:
+        a, b, c = b - 2 * a, 2 * b, -c  # cos(q) = -cos(1/2 - q)
+    elif 4 * a == b:
+        return  # cos(1/4) = 0
+    g = gcd(a, b)
+    key = (a // g, b // g)
+    if key[1] == 6:
+        key, c = (0, 1), c / 2  # cos(1/6) = 1/2
+    acc[key] = acc.get(key, 0) + c
+
+
+def fraction_dot(u, v) -> Value:
+    """A dot product in Fraction coefficients: every product of two terms
+    is c1 c2 / 2 times the cosines of the angles' difference and sum."""
+    acc = {}
+    for x, y in zip(u, v):
+        for c1, a1, b1 in x.terms:
+            for c2, a2, b2 in y.terms:
+                c = c1 * c2 / 2
+                p, q, b = a1 * b2, a2 * b1, b1 * b2
+                _add_cos(acc, c, p - q, b)
+                _add_cos(acc, c, p + q, b)
+    return Value(tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c))
+
+
 def pairwise_dot(u, v) -> Value:
     """A dot product summed coordinate by coordinate, one merge per step."""
     total = Value.ZERO
     for x, y in zip(u, v):
-        total = total + x * y
+        total = total + fraction_dot((x,), (y,))
     return total
 
 
@@ -197,6 +229,31 @@ def dot_instance_oracle(spec) -> Instance:
         spec.n,
         tuple(ranking(p, spec.women_pos) for p in spec.men_pref),
         tuple(ranking(p, spec.men_pos) for p in spec.women_pref),
+    )
+
+
+def euclidean_instance_oracle(spec) -> Instance:
+    """The instance a Euclidean spec induces, ranked by squared distances
+    in Fractions; equal neighbours in a list raise TieDetected."""
+
+    def ranking(ideal, positions, person):
+        dists = [sum((a - b) ** 2 for a, b in zip(ideal, pos)) for pos in positions]
+        order = sorted(range(1, len(dists) + 1), key=lambda i: dists[i - 1])
+        for a, b in zip(order, order[1:]):
+            if dists[a - 1] == dists[b - 1]:
+                raise TieDetected("are exactly equidistant", person, (a, b))
+        return tuple(order)
+
+    return Instance(
+        spec.n,
+        tuple(
+            ranking(p, spec.women_pos, f"man {i}")
+            for i, p in enumerate(spec.men_pref, 1)
+        ),
+        tuple(
+            ranking(p, spec.men_pos, f"woman {j}")
+            for j, p in enumerate(spec.women_pref, 1)
+        ),
     )
 
 

@@ -204,6 +204,19 @@ def test_malformed_instance_is_an_error(write, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["dot", "euclid"])
+@pytest.mark.parametrize("token", ["cos(1/0)", "1/0", "pow(0,-1)"])
+def test_zero_denominator_is_an_error(write, capsys, model, token):
+    text = f"model {model} 1 1\nmpos 1: 1\nmpref 1: {token}\nwpos 1: 2\nwpref 1: 3\n"
+    path = write("spec.txt", text)
+    assert run(["count", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: line 3: division by zero in coordinate token '{token}'\n"
+    )
+
+
 def test_usage_error_exits_two(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

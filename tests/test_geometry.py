@@ -9,6 +9,8 @@ from conftest import (
     GRAPH_3X4,
     brute_force_stable_matchings,
     dot_instance_oracle,
+    euclidean_instance_oracle,
+    fraction_dot,
     pairwise_dot,
     random_1attribute,
     random_bipartite,
@@ -23,6 +25,7 @@ from stablecount import (
     count_1attribute,
     find_all_rotations,
     format_geometric,
+    gen_2euclidean,
     gen_3attribute,
     induced_instance,
     instance_from_1attribute,
@@ -262,6 +265,9 @@ def test_parse_value_tokens():
     assert prod == Value.rational(2) * Value.trig("sin", F(1, 5))
     with pytest.raises(ValueError):
         parse_value("tan(1/3)")
+    for token in ("1/0", "cos(1/0)", "2*pow(0,-1)"):
+        with pytest.raises(ValueError, match="division by zero"):
+            parse_value(token)
 
 
 def test_format_value_round_trip():
@@ -329,23 +335,45 @@ def test_dot_sort_matches_pairwise_oracle():
 
 
 def test_single_merge_dot_matches_pairwise_sum():
+    # values built by the Fraction oracle alone, with coefficient
+    # denominators up to 6 and angles in twelfths and 24ths, whose sums and
+    # differences fold onto cos(1/6) = 1/2 and cos(1/4) = 0
     rng = random.Random(7)
 
     def random_value():
         total = Value.ZERO
         for _ in range(rng.randint(0, 3)):
-            term = Value.rational(F(rng.randint(-5, 5), rng.randint(1, 4)))
+            c = F(rng.randint(-5, 5), rng.randint(1, 6))
+            term = Value(((c, 0, 1),) if c else ())
             for _ in range(rng.randint(0, 3)):
-                kind = rng.choice(("cos", "sin"))
-                term = term * Value.trig(kind, F(rng.randint(1, 6), 7))
+                a, b = rng.randint(-30, 30), rng.choice((3, 5, 6, 7, 12, 24))
+                term = fraction_dot((term,), (Value(((F(1), a, b),)),))
             total = total + term
         return total
 
-    for _ in range(200):
+    for _ in range(300):
         k = rng.randint(1, 4)
         u = [random_value() for _ in range(k)]
         v = [random_value() for _ in range(k)]
-        assert _dot(u, v).terms == pairwise_dot(u, v).terms
+        assert _dot(u, v).terms == pairwise_dot(u, v).terms == fraction_dot(u, v).terms
+
+    # cos(1/12)**2 = (cos(0) + cos(1/6)) / 2 = 3/4
+    c12 = Value.trig("cos", F(1, 12))
+    assert _dot((c12,), (c12,)) == Value.rational(F(3, 4))
+
+
+def test_dot_matches_fraction_oracle_on_3attribute_scores():
+    rng = random.Random(8)
+    graphs = [GRAPH_3X4] + [random_bipartite(rng, 8, min_edges=2) for _ in range(4)]
+    for g in graphs:
+        spec = gen_3attribute(g)
+        for prefs, positions in (
+            (spec.men_pref, spec.women_pos),
+            (spec.women_pref, spec.men_pos),
+        ):
+            for pref in prefs:
+                for pos in positions:
+                    assert _dot(pref, pos) == fraction_dot(pref, pos)
 
 
 def _ranked_by_one_attribute(women):
@@ -431,6 +459,42 @@ def test_euclidean_detects_equidistant():
     )
     with pytest.raises(TieDetected):
         instance_from_euclidean(spec)
+
+
+def _outcome(build, spec):
+    try:
+        return build(spec)
+    except TieDetected as exc:
+        return (str(exc), exc.person, exc.candidates, exc.bits)
+
+
+def test_euclidean_matches_fraction_oracle():
+    rng = random.Random(9)
+
+    def coord():
+        # mixed denominators: sevenths, powers of 100 and their products
+        den = rng.choice((1, 2, 3, 7, 10, 100, 700, 10**6, 7 * 10**6))
+        return F(rng.randint(-60, 60), den) + rng.choice((0, F(1, 100**3)))
+
+    specs = [gen_2euclidean(random_bipartite(rng, 8, min_edges=2)) for _ in range(6)]
+    planted = []
+    for _ in range(60):
+        k, n = rng.randint(1, 3), rng.randint(2, 6)
+        mpos, mpref, wpos, wpref = (
+            [tuple(coord() for _ in range(k)) for _ in range(n)] for _ in range(4)
+        )
+        specs.append(EuclideanSpec(k, n, mpos, mpref, wpos, wpref))
+        # an exact tie: reflect one candidate through one person's ideal
+        # point onto another candidate's place
+        ideals, positions = rng.choice(((mpref, wpos), (wpref, mpos)))
+        i, (a, b) = rng.randrange(n), rng.sample(range(n), 2)
+        positions[b] = tuple(2 * x - y for x, y in zip(ideals[i], positions[a]))
+        planted.append(EuclideanSpec(k, n, mpos, mpref, wpos, wpref))
+    for spec in specs + planted:
+        got = _outcome(instance_from_euclidean, spec)
+        assert got == _outcome(euclidean_instance_oracle, spec)
+        if spec in planted:
+            assert isinstance(got, tuple) and got[3] is None
 
 
 def test_1attribute_lists_are_reverses():
