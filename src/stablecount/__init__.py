@@ -12,14 +12,11 @@ from .core import (
     Instance,
     Matching,
     ParseError,
-    PersonId,
     Side,
     format_instance,
     format_matching,
-    man,
     parse_instance,
     parse_matching,
-    woman,
 )
 from .counting import (
     MEMO_BUDGET,

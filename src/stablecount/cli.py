@@ -19,7 +19,7 @@ from .core import (
     Instance,
     ParseError,
     Side,
-    _content_lines,
+    _header,
     format_instance,
     format_matching,
     parse_instance,
@@ -67,11 +67,9 @@ def _read(path: str) -> str:
 
 def _load_instance(path: str) -> Instance:
     text = _read(path)
-    for _, line in _content_lines(text):
-        if line.startswith("model "):
-            return induced_instance(parse_geometric(text))
-        return parse_instance(text)
-    raise ParseError("empty input")
+    if _header(text)[1].startswith("model "):
+        return induced_instance(parse_geometric(text))
+    return parse_instance(text)
 
 
 def _parse_tau(arg: str | None):

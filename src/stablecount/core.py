@@ -9,8 +9,9 @@ person ranks the whole opposite side; preference lists are permutations of
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 
 class ParseError(ValueError):
@@ -27,50 +28,39 @@ class Side(enum.Enum):
     MAN = "m"
     WOMAN = "w"
 
-    @property
-    def other(self) -> "Side":
-        return Side.WOMAN if self is Side.MAN else Side.MAN
 
-
-class PersonId(NamedTuple):
-    side: Side
-    index: int  # 1-based
-
-    def __str__(self) -> str:
-        return f"{self.side.value}{self.index}"
-
-
-def man(i: int) -> PersonId:
-    return PersonId(Side.MAN, i)
-
-
-def woman(j: int) -> PersonId:
-    return PersonId(Side.WOMAN, j)
+def _rank_row(prefs: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The rank row of one preference list, checked while it is filled:
+    ``row[j-1]`` is the 1-based position of j.  A list of n entries, none
+    below 1, that fills every slot 1..n of the row without an index error
+    is a permutation of 1..n; any other list is a `ValueError`.  Nothing
+    is allocated for a list of another length."""
+    if len(prefs) == n:
+        row = [0] * (n + 1)  # row[j]: position of j; slot 0 stays empty
+        try:
+            for pos, j in enumerate(prefs, start=1):
+                row[j] = pos
+        except (IndexError, TypeError):
+            pass
+        else:
+            if min(prefs) >= 1 and row.count(0) == 1:
+                return tuple(row[1:])
+    raise ValueError(f"preference list must be a permutation of 1..{n}")
 
 
 def _checked_ranks(
     prefs: Sequence[Sequence[int]], n: int, label: str
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The lists as tuples and their rank tables, each list checked while
-    its row is filled.  ``rank[i-1][j-1]`` is the 1-based position of j on
-    i's list.  A list of n entries, none below 1, that fills every slot
-    1..n of the row without an index error is a permutation of 1..n."""
+    """The lists as tuples and their rank rows."""
     lists = tuple(tuple(p) for p in prefs)
     if len(lists) != n:
         raise ValueError(f"expected {n} {label} preference lists, got {len(lists)}")
     ranks = []
     for i, lst in enumerate(lists, start=1):
-        row = [0] * (n + 1)  # row[j]: position of j; slot 0 stays empty
         try:
-            for pos, j in enumerate(lst, start=1):
-                row[j] = pos
-        except (IndexError, TypeError):
-            row = None
-        if row is None or len(lst) != n or min(lst) < 1 or row.count(0) != 1:
-            raise ValueError(
-                f"{label} {i}: preference list must be a permutation of 1..{n}"
-            )
-        ranks.append(tuple(row[1:]))
+            ranks.append(_rank_row(lst, n))
+        except ValueError as exc:
+            raise ValueError(f"{label} {i}: {exc}") from None
     return lists, tuple(ranks)
 
 
@@ -91,6 +81,15 @@ class Instance:
         women, women_rank = _checked_ranks(self.women_prefs, self.n, "woman")
         self._set(men, women, men_rank, women_rank)
 
+    @classmethod
+    def _from_checked(cls, n, men, women, men_rank, women_rank) -> "Instance":
+        """The instance with these lists and rank tables, which are
+        already checked and so are not checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        out._set(men, women, men_rank, women_rank)
+        return out
+
     def _set(self, men, women, men_rank, women_rank) -> None:
         object.__setattr__(self, "men_prefs", men)
         object.__setattr__(self, "women_prefs", women)
@@ -106,29 +105,13 @@ class Instance:
     def woman_rank(self, w: int, m: int) -> int:
         return self._women_rank[w - 1][m - 1]
 
-    def rank(self, person: PersonId, candidate: int) -> int:
-        if person.side is Side.MAN:
-            return self.man_rank(person.index, candidate)
-        return self.woman_rank(person.index, candidate)
-
-    def prefers(self, person: PersonId, a: int, b: int) -> bool:
-        """True if `person` ranks candidate a strictly above candidate b."""
-        return self.rank(person, a) < self.rank(person, b)
-
     def transposed(self) -> "Instance":
         """The same market with the roles of men and women swapped.  The
         lists and rank tables are already checked, so they are swapped
         as they are."""
-        out = object.__new__(Instance)
-        object.__setattr__(out, "n", self.n)
-        out._set(self.women_prefs, self.men_prefs, self._women_rank, self._men_rank)
-        return out
-
-    def people(self) -> Iterator[PersonId]:
-        for i in range(1, self.n + 1):
-            yield man(i)
-        for j in range(1, self.n + 1):
-            yield woman(j)
+        return Instance._from_checked(
+            self.n, self.women_prefs, self.men_prefs, self._women_rank, self._men_rank
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -160,9 +143,6 @@ class Matching:
     def wife(self, m: int) -> int:
         return self.wives[m - 1]
 
-    def husband(self, w: int) -> int:
-        return self.wives.index(w) + 1
-
     def husbands(self) -> tuple[int, ...]:
         out = [0] * self.n
         for m, w in enumerate(self.wives, start=1):
@@ -186,18 +166,34 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse an instance.
-
-    Format: a header line ``n N``, then one line per person,
-    ``m i: w1 w2 ... wN`` / ``w j: m1 m2 ... mN``.  ``#`` starts a comment;
-    blank lines are ignored.
-    """
+def _header(text: str) -> tuple[int, str, Iterator[tuple[int, str]]]:
+    """The line number and text of the first content line, and an
+    iterator over the content lines after it.  An input without content
+    is a `ParseError`."""
     lines = _content_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:
         raise ParseError("empty input") from None
+    return lineno, header, lines
+
+
+def _first_missing(given: Container[int], count: int) -> str:
+    """`count` missing indices, named by the first of them: the smallest
+    from 1 on that `given` lacks, as "3" or "3 and 5 more"."""
+    first = next(i for i in itertools.count(1) if i not in given)
+    return f"{first} and {count - 1} more" if count > 1 else str(first)
+
+
+def parse_instance(text: str) -> Instance:
+    """Parse an instance.
+
+    Format: a header line ``n N``, then one line per person,
+    ``m i: w1 w2 ... wN`` / ``w j: m1 m2 ... mN``.  ``#`` starts a comment;
+    blank lines are ignored.  Nothing sized by N is built before a list
+    of N entries arrives.
+    """
+    lineno, header, lines = _header(text)
     parts = header.split()
     if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
         raise ParseError("expected header 'n N'", lineno)
@@ -205,27 +201,23 @@ def parse_instance(text: str) -> Instance:
     if n < 1:
         raise ParseError("n must be positive", lineno)
 
-    full = set(range(1, n + 1))
-    numeral = {str(i): i for i in full}
-    men: dict[int, tuple[int, ...]] = {}
-    women: dict[int, tuple[int, ...]] = {}
+    numeral: dict[str, int] = {}  # canonical numerals of 1..n, built on first use
+    men: dict[int, tuple] = {}  # index -> (list, rank row)
+    women: dict[int, tuple] = {}
     for lineno, line in lines:
         head, sep, rest = line.partition(":")
         fields = head.split()
         if not sep or len(fields) != 2 or fields[0] not in ("m", "w"):
             raise ParseError("expected 'm i: ...' or 'w j: ...'", lineno)
         tokens = rest.split()
+        if len(tokens) == n and not numeral:
+            numeral.update((str(i), i) for i in range(1, n + 1))
         try:
             idx = int(fields[1])
             try:
-                # each of 1..n written once as its canonical numeral: every
-                # token converts by lookup and none is left over
-                left = numeral.copy()
-                prefs = tuple(map(left.pop, tokens))
-                is_perm = not left
-            except KeyError:  # any other token converts as int() reads it
+                prefs = tuple(map(numeral.__getitem__, tokens))
+            except KeyError:  # a non-canonical numeral, or a list of another length
                 prefs = tuple(map(int, tokens))
-                is_perm = len(prefs) == n and set(prefs) == full
         except ValueError:
             raise ParseError("indices must be integers", lineno) from None
         if not 1 <= idx <= n:
@@ -233,21 +225,20 @@ def parse_instance(text: str) -> Instance:
         target = men if fields[0] == "m" else women
         if idx in target:
             raise ParseError(f"duplicate list for {fields[0]} {idx}", lineno)
-        if not is_perm:
-            raise ParseError(
-                f"preference list must be a permutation of 1..{n}", lineno
-            )
-        target[idx] = prefs
+        try:
+            target[idx] = prefs, _rank_row(prefs, n)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
 
-    missing = [f"m {i}" for i in range(1, n + 1) if i not in men]
-    missing += [f"w {j}" for j in range(1, n + 1) if j not in women]
-    if missing:
-        raise ParseError(f"missing preference lists: {', '.join(missing)}")
-    return Instance(
-        n,
-        tuple(men[i] for i in range(1, n + 1)),
-        tuple(women[j] for j in range(1, n + 1)),
-    )
+    count = 2 * n - len(men) - len(women)
+    if count:
+        side, given = ("m", men) if len(men) < n else ("w", women)
+        raise ParseError(
+            f"missing preference lists: {side} {_first_missing(given, count)}"
+        )
+    men_prefs, men_rank = zip(*(men[i] for i in range(1, n + 1)))
+    women_prefs, women_rank = zip(*(women[j] for j in range(1, n + 1)))
+    return Instance._from_checked(n, men_prefs, women_prefs, men_rank, women_rank)
 
 
 def format_instance(inst: Instance) -> str:

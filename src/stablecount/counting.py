@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, Matching, ParseError, _content_lines
+from .core import Instance, Matching, ParseError, _header
 from .rotations import Poset, RotationPoset, _bits, rotation_poset
 
 
@@ -92,15 +92,19 @@ def enumerate_downsets(
 
 def matching_from_downset(rposet: RotationPoset, downset: frozenset[int]) -> Matching:
     """Apply the rotations of a downset (in discovery order) to the
-    man-optimal matching."""
+    man-optimal matching.  A set of indices that is not a down-closed
+    subset of ``range(rposet.size)`` is a `ValueError`."""
+    chosen = 0
+    for i in downset:
+        if not 0 <= i < rposet.size:
+            raise ValueError("not a downset of the rotation poset")
+        chosen |= 1 << i
+    if any(rposet.below[i] & ~chosen for i in downset):
+        raise ValueError("not a downset of the rotation poset")
     wives = list(rposet.man_optimal.wives)
     for i in sorted(downset):
-        rot = rposet.rotations[i]
-        k = len(rot.pairs)
-        for idx, (m, w) in enumerate(rot.pairs):
-            if wives[m - 1] != w:
-                raise ValueError("not a downset of the rotation poset")
-            wives[m - 1] = rot.pairs[(idx + 1) % k][1]
+        for m, _, nw in rposet.rotations[i].steps:
+            wives[m - 1] = nw
     return Matching(tuple(wives))
 
 
@@ -181,11 +185,7 @@ def count_independent_sets(graph: BipartiteGraph) -> int:
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse a bipartite graph: header ``bis n1 n2`` then ``e u v`` lines."""
-    lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty input") from None
+    lineno, header, lines = _header(text)
     parts = header.split()
     if len(parts) != 3 or parts[0] != "bis":
         raise ParseError("expected header 'bis n1 n2'", lineno)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import Instance, ParseError, _content_lines
+from .core import Instance, ParseError, _first_missing, _header
 from .rotations import find_all_rotations
 
 
@@ -528,11 +528,7 @@ def parse_geometric(text: str):
     comments allowed).  Returns an AttributeSpec, EuclideanSpec, or
     OneAttributeSpec depending on the model.
     """
-    lines = _content_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty input") from None
+    lineno, header, lines = _header(text)
     parts = header.split()
     if len(parts) != 4 or parts[0] != "model" or parts[1] not in _MODELS:
         raise ParseError("expected header 'model dot|euclid|1d k n'", lineno)
@@ -569,10 +565,11 @@ def parse_geometric(text: str):
         data[fields[0]][idx] = vec
 
     def rows(key: str):
-        missing = [str(i) for i in range(1, n + 1) if i not in data[key]]
-        if missing:
-            raise ParseError(f"missing {key} lines: {', '.join(missing)}")
-        return tuple(data[key][i] for i in range(1, n + 1))
+        given = data[key]
+        if len(given) < n:
+            missing = _first_missing(given, n - len(given))
+            raise ParseError(f"missing {key} lines: {missing}")
+        return tuple(given[i] for i in range(1, n + 1))
 
     mpos, mpref, wpos, wpref = (rows(k_) for k_ in ("mpos", "mpref", "wpos", "wpref"))
     if model == "dot":

@@ -13,7 +13,7 @@ that counting works on, and a `RotationPoset` is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .core import Instance, Matching, ParseError, Side, _content_lines
@@ -22,9 +22,17 @@ from .gale_shapley import propose_optimal
 
 @dataclass(frozen=True)
 class Rotation:
-    """A cyclic sequence of matched pairs, stored with the smallest man first."""
+    """A cyclic sequence of matched pairs, stored with the smallest man first.
+
+    ``steps`` views the same cycle as moves: ``(m, w, next_w)`` for each
+    pair (m, w), where next_w is the woman of the next pair, whom m is
+    matched to once the rotation is eliminated.
+    """
 
     pairs: tuple[tuple[int, int], ...]
+    steps: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.pairs) < 2:
@@ -32,9 +40,15 @@ class Rotation:
         men = [m for m, _ in self.pairs]
         if len(set(men)) != len(men):
             raise ValueError("rotation repeats a man")
+        if len({w for _, w in self.pairs}) != len(men):
+            raise ValueError("rotation repeats a woman")
         start = men.index(min(men))
         canon = self.pairs[start:] + self.pairs[:start]
+        nexts = canon[1:] + canon[:1]
         object.__setattr__(self, "pairs", tuple(canon))
+        object.__setattr__(
+            self, "steps", tuple((m, w, nw) for (m, w), (_, nw) in zip(canon, nexts))
+        )
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -47,9 +61,9 @@ class Rotation:
 
     def next_woman(self, m: int) -> int:
         """The woman m moves to when this rotation is applied."""
-        for idx, (mi, _) in enumerate(self.pairs):
+        for mi, _, nw in self.steps:
             if mi == m:
-                return self.pairs[(idx + 1) % len(self.pairs)][1]
+                return nw
         raise ValueError(f"man {m} not in rotation")
 
 
@@ -164,9 +178,7 @@ def find_all_rotations(
                 break
             chain[wives[order[first] - 1]] = order[first]
         rot = _trace_rotation(inst, wives, husbands, best, chain, start)
-        k = len(rot.pairs)
-        for idx, (mi, _) in enumerate(rot.pairs):
-            nw = rot.pairs[(idx + 1) % k][1]
+        for mi, _, nw in rot.steps:
             wives[mi - 1] = nw
             husbands[nw - 1] = mi
             start[mi - 1] = men_rank[mi - 1][nw - 1]
@@ -179,16 +191,17 @@ def find_all_rotations(
 def _eliminated(inst: Instance, rotation: Rotation) -> Iterator[tuple[int, int]]:
     """Pairs (m, w) ruled out of all later stable matchings by this rotation.
 
-    Each woman w in the rotation trades her partner for one she prefers;
-    every man she ranks between the two (new partner excluded, old partner
-    included) loses any stable pair with her.
+    Each woman w in the rotation trades her partner for one she prefers,
+    the man of the step before hers; every man she ranks between the two
+    (new partner excluded, old partner included) loses any stable pair
+    with her.
     """
-    pairs = rotation.pairs
-    for idx, (m_old, w) in enumerate(pairs):
-        m_new = pairs[idx - 1][0]
+    m_new = rotation.steps[-1][0]
+    for m_old, w, _ in rotation.steps:
         row = inst._women_rank[w - 1]
         for m in inst.women_prefs[w - 1][row[m_new - 1] : row[m_old - 1]]:
             yield m, w
+        m_new = m_old
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -272,11 +285,8 @@ def rotation_poset(
     label = [[0] * rank[w - 1] for rank, w in zip(men_rank, wopt.wives)]
     below: list[int] = []
     for j, rot in enumerate(rots):
-        pairs = rot.pairs
-        k = len(pairs)
         direct = 0
-        for idx, (m, _) in enumerate(pairs):
-            nxt = pairs[(idx + 1) % k][1]
+        for m, _, nxt in rot.steps:
             for bit in label[m - 1][: men_rank[m - 1][nxt - 1] - 1]:
                 direct |= bit
         for i in _bits(direct):

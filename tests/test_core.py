@@ -1,15 +1,18 @@
+import random
+import time
+
 import pytest
 
+import stablecount
+from conftest import random_instance
 from stablecount import (
     Instance,
     Matching,
     ParseError,
     format_instance,
     format_matching,
-    man,
     parse_instance,
     parse_matching,
-    woman,
 )
 
 
@@ -44,6 +47,26 @@ def test_parse_rejects_duplicate_entry():
 def test_parse_rejects_missing_line():
     with pytest.raises(ParseError):
         parse_instance("n 2\nm 1: 1 2\nw 1: 2 1\nw 2: 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 100000000\n", "missing preference lists: m 1 and 199999999 more"),
+        ("n 100000000\nm 1: 2 1\n", "line 2: preference list must be a permutation of 1..100000000"),
+        ("n 100000000\nm 1: x\n", "line 2: indices must be integers"),
+        ("n 2\nm 1: 1 2\nm 2: 2 1\nw 2: 1 2\n", "missing preference lists: w 1"),
+        ("n 3\nm 2: 1 2 3\nw 3: 1 2 3\n", "missing preference lists: m 1 and 3 more"),
+    ],
+)
+def test_parse_huge_n_is_cheap(text, message):
+    # nothing is sized by n before a list of n entries arrives, and the
+    # error names the first missing list and the count only
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("size", ["\u00b3", "x", "-1", "2.0", ""])
@@ -103,6 +126,37 @@ def test_parse_reads_non_canonical_numerals():
     assert inst == Instance(500, (tuple(range(1, 501)),) * 500, (tuple(range(1, 501)),) * 500)
 
 
+def _ranks(inst):
+    return inst._men_rank, inst._women_rank
+
+
+def test_parsed_rank_tables_match_constructor():
+    # Instance equality ignores the rank tables, so compare them directly
+    rng = random.Random(7)
+    for n in (1, 2, 3, 5, 8, 13, 40):
+        inst = random_instance(rng, n)
+        parsed = parse_instance(format_instance(inst))
+        assert parsed == inst
+        assert _ranks(parsed) == _ranks(Instance(n, inst.men_prefs, inst.women_prefs))
+    men, women = [["2", "1", "3"], ["1", "2", "3"], ["3", "2", "1"]], [["1", "3", "2"]] * 3
+    men[0][2], women[1][1] = "03", "+3"
+    parsed = parse_instance(_instance_text(3, men, women))
+    lists = [tuple(map(int, lst)) for lst in men], [tuple(map(int, lst)) for lst in women]
+    assert _ranks(parsed) == _ranks(Instance(3, *lists))
+
+
+def test_parse_reports_permutation_error_before_later_duplicate():
+    text = "n 2\nm 1: 1 2\nw 1: 1 1\nm 1: 2 1\nw 2: 1 2\nm 2: 1 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == "line 3: preference list must be a permutation of 1..2"
+    # the same lists in the other order report the duplicate first
+    text = "n 2\nm 1: 1 2\nm 1: 2 1\nw 1: 1 1\nw 2: 1 2\nm 2: 1 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == "line 3: duplicate list for m 1"
+
+
 def test_parse_ignores_comments_and_blanks():
     text = "# a comment\n\nn 1\nm 1: 1  # trailing\nw 1: 1\n"
     assert parse_instance(text).n == 1
@@ -118,23 +172,24 @@ def test_rank_reads_off_list():
     assert inst.man_rank(1, 2) == 2
     assert inst.man_rank(1, 1) == 1
     assert inst.woman_rank(1, 2) == 1
-    assert inst.rank(man(2), 2) == 1
-    assert inst.rank(woman(2), 1) == 1
+    assert inst.man_rank(2, 2) == 1
+    assert inst.woman_rank(2, 1) == 1
 
 
 def test_prefers_follows_list_order():
     inst = Instance(3, ((3, 1, 2),) * 3, ((1, 2, 3),) * 3)
-    assert inst.prefers(man(1), 3, 1)
-    assert not inst.prefers(man(1), 2, 3)
+    assert inst.man_rank(1, 3) < inst.man_rank(1, 1)
+    assert not inst.man_rank(1, 2) < inst.man_rank(1, 3)
 
 
 def test_prefers_antisymmetry():
     inst = Instance(3, ((3, 1, 2),) * 3, ((2, 3, 1),) * 3)
-    for p in inst.people():
-        for a in range(1, 4):
-            for b in range(1, 4):
-                if a != b:
-                    assert inst.prefers(p, a, b) != inst.prefers(p, b, a)
+    for rank in (inst.man_rank, inst.woman_rank):
+        for p in range(1, 4):
+            for a in range(1, 4):
+                for b in range(1, 4):
+                    if a != b:
+                        assert (rank(p, a) < rank(p, b)) != (rank(p, b) < rank(p, a))
 
 
 def test_transposed_swaps_sides():
@@ -173,7 +228,6 @@ def test_instance_rejects_non_permutations(lists, message):
 def test_matching_accessors():
     m = Matching((2, 1))
     assert m.wife(1) == 2
-    assert m.husband(1) == 2
     assert m.husbands() == (2, 1)
     assert m.pairs() == ((1, 2), (2, 1))
     assert m.transposed() == Matching((2, 1))
@@ -194,3 +248,28 @@ def test_matching_parse_format():
 def test_matching_parse_rejects_incomplete():
     with pytest.raises(ParseError):
         parse_matching("pair 1 2\n", n=2)
+
+
+def test_public_names_are_pinned():
+    # a removal must show here and in README's "Removed API"
+    assert set(stablecount.__all__) == {
+        "AttributeSpec", "BipartiteGraph", "CyclePair", "EuclideanSpec",
+        "Instance", "MEMO_BUDGET", "Matching", "OneAttributeSpec",
+        "ParseError", "Poset", "ReductionReport", "Rotation", "RotationPoset",
+        "Side", "SizeLimitError", "TieDetected", "Value",
+        "blocking_pairs", "build_instance", "compare_values",
+        "count_1attribute", "count_downsets", "count_independent_sets",
+        "count_stable_matchings", "edge_cycles", "enumerate_downsets",
+        "enumerate_stable_matchings", "find_all_rotations",
+        "format_bipartite", "format_geometric", "format_instance",
+        "format_matching", "format_rotations", "gen_2euclidean",
+        "gen_3attribute", "gen_partial_lists", "hasse_diagram", "hasse_dot",
+        "induced_instance", "instance_from_1attribute", "instance_from_dot",
+        "instance_from_euclidean", "is_stable", "matching_from_downset",
+        "parse_bipartite", "parse_geometric", "parse_instance",
+        "parse_matching", "parse_rotation", "poset_from_bipartite",
+        "propose_optimal", "read_tau", "rotation_poset", "verify_reduction",
+        # the submodules, which the package imports
+        "core", "counting", "gale_shapley", "geometry", "reductions",
+        "rotations",
+    }

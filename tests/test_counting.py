@@ -199,6 +199,28 @@ def test_downset_extremes_map_to_optima():
         assert matching_from_downset(rposet, full) == wopt
 
 
+def test_matching_from_downset_rejects_non_downsets():
+    # 2x2 with two stable matchings: one rotation, index 0
+    inst = Instance(2, ((1, 2), (2, 1)), ((2, 1), (1, 2)))
+    rposet = rotation_poset(inst)
+    for bad in ({-1}, {5}, {0, 1}):
+        with pytest.raises(ValueError) as err:
+            matching_from_downset(rposet, frozenset(bad))
+        assert str(err.value) == "not a downset of the rotation poset"
+    rng = random.Random(59)
+    for _ in range(30):
+        rposet = rotation_poset(random_instance(rng, rng.randint(2, 7)))
+        downsets = set(enumerate_downsets(rposet))
+        for r in range(len(rposet) + 1):
+            for subset in itertools.combinations(range(len(rposet)), r):
+                subset = frozenset(subset)
+                if subset in downsets:
+                    matching_from_downset(rposet, subset)
+                else:
+                    with pytest.raises(ValueError, match="not a downset"):
+                        matching_from_downset(rposet, subset)
+
+
 def test_enumerate_stable_equals_brute_force():
     rng = random.Random(53)
     for _ in range(40):

@@ -19,12 +19,13 @@ TWO_STABLE = Instance(2, ((1, 2), (2, 1)), ((2, 1), (1, 2)))
 def definitional_blocking(inst, matching):
     # straight from the definition: both strictly prefer each other
     out = []
+    husbands = matching.husbands()
     for m in range(1, inst.n + 1):
         for w in range(1, inst.n + 1):
             if matching.wife(m) == w:
                 continue
             man_wants = inst.man_rank(m, w) < inst.man_rank(m, matching.wife(m))
-            woman_wants = inst.woman_rank(w, m) < inst.woman_rank(w, matching.husband(w))
+            woman_wants = inst.woman_rank(w, m) < inst.woman_rank(w, husbands[w - 1])
             if man_wants and woman_wants:
                 out.append((m, w))
     return out

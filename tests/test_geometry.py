@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -612,6 +613,19 @@ def test_parse_geometric_errors():
         parse_geometric("model dot 1 1\nmpos 1: 1\n")  # missing rows
     with pytest.raises(ParseError):
         parse_geometric("model 1d 2 1\n")  # 1d must have k = 1
+
+
+def test_parse_geometric_huge_n_is_cheap():
+    # nothing is sized by n before the lines arrive: the error names the
+    # first missing line and the count only
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_geometric("model dot 1 100000000\nmpos 2: 1\n")
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == "missing mpos lines: 1 and 99999998 more"
+    with pytest.raises(ParseError) as err:
+        parse_geometric("model dot 1 2\nmpos 1: 1\nmpos 2: 1\nmpref 2: 1\n")
+    assert str(err.value) == "missing mpref lines: 1"
 
 
 def test_format_geometric_round_trip():

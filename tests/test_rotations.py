@@ -19,6 +19,7 @@ from conftest import (
 from stablecount import (
     Instance,
     Matching,
+    ParseError,
     Poset,
     Rotation,
     Side,
@@ -44,6 +45,20 @@ def test_rotation_canonicalized():
 def test_rotation_rejects_repeated_man():
     with pytest.raises(ValueError):
         Rotation(((1, 1), (1, 2)))
+
+
+def test_rotation_rejects_repeated_woman():
+    with pytest.raises(ValueError, match="rotation repeats a woman"):
+        Rotation(((1, 1), (2, 1)))
+    with pytest.raises(ParseError) as err:
+        parse_rotation("rot 1: (1,2) (2,1)\nrot 2: (1,1) (2,1)\n")
+    assert str(err.value) == "line 2: rotation repeats a woman"
+    assert err.value.line == 2
+
+
+def test_steps_follow_the_cycle():
+    r = Rotation(((2, 5), (3, 4), (1, 6)))
+    assert r.steps == ((1, 6, 5), (2, 5, 4), (3, 4, 6))
 
 
 def test_rotation_rejects_singleton():
@@ -89,10 +104,9 @@ def test_apply_preserves_stability_and_moves_ranks():
         assert blocking_pairs(inst, out) == []
         for man_, w in rot.pairs:
             assert inst.man_rank(man_, out.wife(man_)) > inst.man_rank(man_, w)
+        new, old = out.husbands(), matching.husbands()
         for w in rot.women():
-            assert inst.woman_rank(w, out.husband(w)) < inst.woman_rank(
-                w, matching.husband(w)
-            )
+            assert inst.woman_rank(w, new[w - 1]) < inst.woman_rank(w, old[w - 1])
 
 
 def test_exposed_rotation_suitor_links():
@@ -287,8 +301,8 @@ def test_truncated_contains_all_stable_partners():
         for s in brute_force_stable_matchings(inst):
             for m in range(1, inst.n + 1):
                 assert s.wife(m) in men[m - 1]
-            for w in range(1, inst.n + 1):
-                assert s.husband(w) in women[w - 1]
+            for w, m in enumerate(s.husbands(), start=1):
+                assert m in women[w - 1]
 
 
 def test_rotation_text_round_trip():
