@@ -43,13 +43,7 @@ from .geometry import (
     induced_instance,
     parse_geometric,
 )
-from .reductions import (
-    build_instance,
-    gen_2euclidean,
-    gen_3attribute,
-    gen_partial_lists,
-    verify_reduction,
-)
+from .reductions import MODELS, gen_partial_lists, verify_reduction
 from .rotations import (
     find_all_rotations,
     format_rotations,
@@ -72,9 +66,7 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(text)
 
 
-def _parse_tau(arg: str | None):
-    if arg is None:
-        return None
+def _parse_tau(arg: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in arg.split(","))
     except ValueError:
@@ -146,13 +138,16 @@ def _cmd_isets(args) -> int:
 
 def _cmd_gen(args) -> int:
     graph = parse_bipartite(_read(args.file))
-    if args.model == "lists":
-        out = format_instance(gen_partial_lists(graph, _parse_tau(args.tau)))
-    elif args.model == "attr3":
-        out = format_geometric(gen_3attribute(graph))
+    if args.tau is None:
+        built = MODELS[args.model](graph)
+    elif args.model == "lists":
+        built = gen_partial_lists(graph, _parse_tau(args.tau))
     else:
-        out = format_geometric(gen_2euclidean(graph))
-    sys.stdout.write(out)
+        raise ParseError(f"--tau applies only to --model lists, not {args.model}")
+    if isinstance(built, Instance):
+        sys.stdout.write(format_instance(built))
+    else:
+        sys.stdout.write(format_geometric(built))
     return 0
 
 
@@ -234,12 +229,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("file")
 
     sub = add("gen", _cmd_gen, "instance or geometric spec from a bipartite graph")
-    sub.add_argument("--model", choices=("lists", "attr3", "euclid2"), default="lists")
+    sub.add_argument("--model", choices=tuple(MODELS), default="lists")
     sub.add_argument("--tau", default=None)
     sub.add_argument("file")
 
     sub = add("verify", _cmd_verify, "check the reduction on a graph (or directory)")
-    sub.add_argument("--model", choices=("lists", "attr3", "euclid2"), default="lists")
+    sub.add_argument("--model", choices=tuple(MODELS), default="lists")
     sub.add_argument("file")
 
     return parser

@@ -167,12 +167,10 @@ def poset_from_bipartite(graph: BipartiteGraph) -> Poset:
     neighbours.  Elements 0..n1-1 are the left side, n1..n1+n2-1 the
     right; its downsets biject with the independent sets of the graph (the
     maximal elements of a downset form the independent set)."""
-    above = [0] * graph.size
     below = [0] * graph.size
     for u, v in graph.edges:
-        above[u - 1] |= 1 << (graph.n1 + v - 1)
         below[graph.n1 + v - 1] |= 1 << (u - 1)
-    return Poset(graph.size, tuple(above), tuple(below))
+    return Poset.from_below(tuple(below))
 
 
 def count_independent_sets(graph: BipartiteGraph) -> int:

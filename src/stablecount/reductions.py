@@ -14,8 +14,9 @@ integers, and each right vertex's labels give a permutation sigma.  The
 instance has men A_x, B_x, C_x and women a_x, b_x, c_x per edge x; its
 rotation poset has height at most one and is isomorphic to G, with one
 minimal rotation per left vertex and one maximal rotation per right
-vertex.  ``verify_reduction`` re-derives all of this from scratch on a
-concrete graph and reports which structural claims hold.
+vertex.  ``verify_reduction`` derives the rotation poset of the instance
+built for a concrete graph, compares it with the graph's own poset
+(`poset_from_bipartite`) and reports which structural claims hold.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .core import Instance, Matching
-from .counting import BipartiteGraph, count_downsets, count_independent_sets
+from .counting import BipartiteGraph, count_downsets, poset_from_bipartite
 from .geometry import AttributeSpec, EuclideanSpec, Value, induced_instance
-from .rotations import Rotation, hasse_diagram, rotation_poset
+from .rotations import _bits, rotation_poset
 
 
 @dataclass(frozen=True)
@@ -50,25 +51,20 @@ class CyclePair:
 
 
 def edge_cycles(graph: BipartiteGraph) -> CyclePair:
-    edges = graph.edges  # already sorted lexicographically
-    n = len(edges)
-    rho_cycles = [
-        tuple(x for x, (a, _) in enumerate(edges, start=1) if a == u)
-        for u in range(1, graph.n1 + 1)
-    ]
-    sigma_cycles = [
-        tuple(x for x, (_, b) in enumerate(edges, start=1) if b == v)
-        for v in range(1, graph.n2 + 1)
-    ]
+    rho_cycles = [[] for _ in range(graph.n1)]
+    sigma_cycles = [[] for _ in range(graph.n2)]
+    for x, (u, v) in enumerate(graph.edges, start=1):  # sorted lexicographically
+        rho_cycles[u - 1].append(x)
+        sigma_cycles[v - 1].append(x)
+    n = len(graph.edges)
     rho, sigma = [0] * n, [0] * n
-    for cycle in rho_cycles:
-        for i, x in enumerate(cycle):
-            rho[x - 1] = cycle[(i + 1) % len(cycle)]
-    for cycle in sigma_cycles:
-        for i, x in enumerate(cycle):
-            sigma[x - 1] = cycle[(i + 1) % len(cycle)]
+    for cycles, succ in ((rho_cycles, rho), (sigma_cycles, sigma)):
+        for cycle in cycles:
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                succ[x - 1] = y
     return CyclePair(
-        n, edges, tuple(rho), tuple(sigma), tuple(rho_cycles), tuple(sigma_cycles)
+        n, graph.edges, tuple(rho), tuple(sigma),
+        tuple(map(tuple, rho_cycles)), tuple(map(tuple, sigma_cycles)),
     )
 
 
@@ -111,9 +107,6 @@ def gen_partial_lists(
     for x in range(1, n + 1):
         men[A(x) - 1] = _complete([a(x), b(cp.rho[x - 1])], 3 * n)
         men[C(x) - 1] = _complete([c(x), a(cp.sigma[x - 1])], 3 * n)
-        women[b(x) - 1] = _complete(
-            [A(cp.rho.index(x) + 1), B(x)], 3 * n
-        )
         women[c(x) - 1] = _complete([B(x), C(x)], 3 * n)
     for cyc in cp.sigma_cycles:
         p = len(cyc)
@@ -128,6 +121,8 @@ def gen_partial_lists(
         men[B(x) - 1] = _complete(bblock + tail, 3 * n)
     for cyc in cp.rho_cycles:
         q = len(cyc)
+        for m, y in enumerate(cyc):
+            women[b(y) - 1] = _complete([A(cyc[m - 1]), B(y)], 3 * n)  # A_{rho^-1 y}
         for m in range(q - 1):
             y = cyc[m]
             women[a(y) - 1] = _complete(cblock + [B(y), A(y)], 3 * n)
@@ -289,6 +284,24 @@ def gen_2euclidean(graph: BipartiteGraph) -> EuclideanSpec:
     return EuclideanSpec(2, size, tuple(mpos), tuple(mpref), tuple(wpos), tuple(wpref))
 
 
+# The three routes from a graph to its instance or geometric spec, by
+# model name.  Each generator is looked up when called, so rebinding a
+# module name (as perfbench's tracer does) reaches every route.
+MODELS = {
+    "lists": lambda graph: gen_partial_lists(graph),
+    "attr3": lambda graph: gen_3attribute(graph),
+    "euclid2": lambda graph: gen_2euclidean(graph),
+}
+
+
+def build_instance(graph: BipartiteGraph, model: str) -> Instance:
+    """Build the instance for G via the route `MODELS` names `model`."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    built = MODELS[model](graph)
+    return built if isinstance(built, Instance) else induced_instance(built)
+
+
 def read_tau(inst: Instance) -> tuple[int, ...]:
     """Recover the b-block permutation from a generated instance: any
     B-man ranks the n b-women first, as b_tau(n) .. b_tau(1)."""
@@ -342,45 +355,14 @@ class ReductionReport:
         return "\n".join(lines)
 
 
-def _classify_rotation(rot: Rotation, n: int, cp: CyclePair):
-    """Identify a rotation of a generated instance.
-
-    Returns ("rho", cycle index) for {(A_x,a_x),(B_x,b_x): x in a
-    rho-cycle}, ("sigma", cycle index) for {(B_x,a_x),(C_x,c_x): x in a
-    sigma-cycle}, or None.
-    """
-    pairs = set(rot.pairs)
-    for idx, cyc in enumerate(cp.rho_cycles):
-        want = set()
-        for x in cyc:
-            want.add((x, x))  # (A_x, a_x)
-            want.add((n + x, n + x))  # (B_x, b_x)
-        if pairs == want:
-            return ("rho", idx)
-    for idx, cyc in enumerate(cp.sigma_cycles):
-        want = set()
-        for x in cyc:
-            want.add((n + x, x))  # (B_x, a_x)
-            want.add((2 * n + x, 2 * n + x))  # (C_x, c_x)
-        if pairs == want:
-            return ("sigma", idx)
-    return None
-
-
-def build_instance(graph: BipartiteGraph, model: str, tau=None) -> Instance:
-    """Build the instance for G via the chosen route: "lists", "attr3",
-    or "euclid2"."""
-    if model == "lists":
-        return gen_partial_lists(graph, tau)
-    if model == "attr3":
-        return induced_instance(gen_3attribute(graph))
-    if model == "euclid2":
-        return induced_instance(gen_2euclidean(graph))
-    raise ValueError(f"unknown model {model!r}")
-
-
 def verify_reduction(graph: BipartiteGraph, model: str = "lists") -> ReductionReport:
-    """Check every structural claim of the reduction on a concrete graph."""
+    """Check every structural claim of the reduction on a concrete graph.
+
+    Each rotation is labelled with the vertex whose expected pair set it
+    has: rho-cycle u is element u and sigma-cycle v element n1 + v of
+    `poset_from_bipartite(graph)`.  The rotation poset, relabelled so, must
+    be that poset, whose downsets the independent sets are counted by.
+    """
     cp = edge_cycles(graph)
     n = cp.n
     inst = build_instance(graph, model)
@@ -403,36 +385,38 @@ def verify_reduction(graph: BipartiteGraph, model: str = "lists") -> ReductionRe
     if not female_ok:
         problems.append(f"female-optimal differs: {wopt.pairs()}")
 
-    kinds = {}
-    forms_ok = True
-    for i, rot in enumerate(rposet.rotations):
-        kind = _classify_rotation(rot, n, cp)
-        if kind is None:
-            forms_ok = False
-            problems.append(f"unrecognized rotation {rot.pairs}")
-        else:
-            kinds[i] = kind
-    expected = {("rho", i) for i in range(len(cp.rho_cycles))}
-    expected |= {("sigma", i) for i in range(len(cp.sigma_cycles))}
-    if forms_ok and set(kinds.values()) != expected:
+    vertex = {}  # the pair set of each expected rotation -> its element
+    for u, cyc in enumerate(cp.rho_cycles):  # (A_x, a_x) and (B_x, b_x)
+        vertex[frozenset([(x, x) for x in cyc] + [(n + x, n + x) for x in cyc])] = u
+    for v, cyc in enumerate(cp.sigma_cycles, graph.n1):  # (B_x, a_x) and (C_x, c_x)
+        vertex[frozenset(
+            [(n + x, x) for x in cyc] + [(2 * n + x, 2 * n + x) for x in cyc]
+        )] = v
+    labels = [vertex.get(frozenset(rot.pairs)) for rot in rposet.rotations]
+    problems += [
+        f"unrecognized rotation {rot.pairs}"
+        for rot, v in zip(rposet.rotations, labels)
+        if v is None
+    ]
+    forms_ok = None not in labels
+    if forms_ok and sorted(labels) != list(range(graph.size)):
         forms_ok = False
         problems.append("rotation multiset does not cover every vertex exactly once")
 
+    gposet = poset_from_bipartite(graph)
     iso_ok = forms_ok
     if forms_ok:
-        got_edges = set()
-        for i, j in hasse_diagram(rposet):
-            ki, kj = kinds[i], kinds[j]
-            if ki[0] == "rho" and kj[0] == "sigma":
-                got_edges.add((ki[1] + 1, kj[1] + 1))
-            else:
-                iso_ok = False
-                problems.append(f"cover edge {ki}->{kj} is not rho->sigma")
-        if got_edges != set(graph.edges):
-            iso_ok = False
-            problems.append(f"Hasse edges {sorted(got_edges)} != graph edges")
+        below = [0] * graph.size
+        for v, mask in zip(labels, rposet.below):
+            below[v] = sum(1 << labels[i] for i in _bits(mask))
+        wrong = [v for v in range(graph.size) if below[v] != gposet.below[v]]
+        iso_ok = not wrong
+        if wrong:
+            problems.append(
+                f"rotation poset differs from the graph's below elements {wrong}"
+            )
 
-    is_count = count_independent_sets(graph)
+    is_count = count_downsets(gposet)
     sm_count = count_downsets(rposet)
     counts_ok = is_count == sm_count
     if not counts_ok:

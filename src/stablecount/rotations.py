@@ -37,6 +37,8 @@ class Rotation:
     def __post_init__(self) -> None:
         if len(self.pairs) < 2:
             raise ValueError("a rotation involves at least two pairs")
+        if min(min(pair) for pair in self.pairs) < 1:
+            raise ValueError("rotation indices must be at least 1")
         men = [m for m, _ in self.pairs]
         if len(set(men)) != len(men):
             raise ValueError("rotation repeats a man")
@@ -332,11 +334,15 @@ def hasse_dot(poset: RotationPoset) -> str:
 
 
 def parse_rotation(text: str) -> list[Rotation]:
-    """Parse ``rot k: (m1,w1) (m2,w2) ...`` lines."""
+    """Parse ``rot k: (m1,w1) (m2,w2) ...`` lines, k a positive integer."""
     out = []
     for lineno, line in _content_lines(text):
         head, sep, rest = line.partition(":")
-        if not sep or not head.startswith("rot"):
+        parts = head.split()
+        if not (
+            sep and len(parts) == 2 and parts[0] == "rot"
+            and parts[1].isdecimal() and int(parts[1]) >= 1
+        ):
             raise ParseError("expected 'rot k: (m,w) ...'", lineno)
         pairs = []
         for tok in rest.split():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import GRAPH_3X4, independent_sets_oracle, random_instance
+from conftest import GRAPH_3X4, GRAPH_4X5, independent_sets_oracle, random_instance
 from stablecount import (
     BipartiteGraph,
     Matching,
@@ -16,6 +16,7 @@ from stablecount import (
     is_stable,
     parse_bipartite,
     parse_instance,
+    reductions,
 )
 from stablecount.cli import run
 
@@ -183,6 +184,74 @@ def test_verify_graph_file(write, capsys):
     assert run(["verify", "--model", "lists", bis]) == 0
     out = capsys.readouterr().out
     assert "pass" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("model", ["attr3", "euclid2"])
+@pytest.mark.parametrize("tau", ["garbage", "2,1"])
+def test_gen_tau_needs_lists_model(write, capsys, model, tau):
+    bis = write("g.bis", "bis 2 1\ne 1 1\ne 2 1\n")
+    assert run(["gen", "--model", model, "--tau", tau, bis]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --tau applies only to --model lists, not {model}\n"
+    )
+
+
+def test_gen_tau_permutes_lists_b_block(write, capsys):
+    bis = write("g.bis", "bis 2 1\ne 1 1\ne 2 1\n")
+    assert run(["gen", "--model", "lists", "--tau", "2,1", bis]) == 0
+    inst = parse_instance(capsys.readouterr().out)
+    assert inst.men_prefs[2][:2] == (3, 4)  # B_1 ranks b_tau(2), b_tau(1) first
+    assert run(["gen", "--model", "lists", "--tau", "garbage", bis]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad permutation 'garbage'; expected e.g. 2,1,3\n"
+    )
+
+
+VERIFY_PASSED = (
+    "male_optimal:     pass\n"
+    "female_optimal:   pass\n"
+    "rotation_forms:   pass\n"
+    "poset_isomorphic: pass\n"
+    "counts_equal:     pass\n"
+    "independent_sets: {count}\n"
+    "stable_matchings: {count}\n"
+)
+
+
+@pytest.mark.parametrize("model", ["lists", "attr3", "euclid2"])
+@pytest.mark.parametrize(
+    "graph, count",
+    [(GRAPH_3X4, 29), (GRAPH_4X5, 93), (BipartiteGraph(2, 1, ((1, 1), (2, 1))), 5)],
+    ids=["3x4", "4x5", "path"],
+)
+def test_verify_output_is_pinned(write, capsys, graph, count, model):
+    bis = write("g.bis", format_bipartite(graph))
+    assert run(["verify", "--model", model, bis]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == VERIFY_PASSED.format(count=count)
+    assert captured.err == ""
+
+
+def test_verify_failure_exits_three(write, capsys, monkeypatch):
+    monkeypatch.setattr(
+        reductions, "build_instance",
+        lambda graph, model: gen_partial_lists(GRAPH_4X5),
+    )
+    bis = write("g.bis", format_bipartite(GRAPH_3X4))
+    assert run(["verify", "--model", "lists", bis]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:7] == [
+        "male_optimal:     pass",
+        "female_optimal:   FAIL",
+        "rotation_forms:   FAIL",
+        "poset_isomorphic: FAIL",
+        "counts_equal:     FAIL",
+        "independent_sets: 29",
+        "stable_matchings: 93",
+    ]
+    assert lines[-1] == "counts differ: #IS=29 #SM=93"
 
 
 def test_verify_directory(tmp_path, capsys):

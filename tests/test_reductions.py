@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import stablecount.reductions
 from conftest import (
     GRAPH_3X4,
     GRAPH_4X5,
@@ -17,6 +18,7 @@ from stablecount import (
     enumerate_stable_matchings,
     BipartiteGraph,
     Matching,
+    RotationPoset,
     Side,
     build_instance,
     count_independent_sets,
@@ -329,7 +331,109 @@ def test_build_instance_rejects_unknown_model():
         build_instance(SINGLE_EDGE, "nonsense")
 
 
-def test_report_string_marks_failures():
+TWO_EDGE_PATH = BipartiteGraph(2, 1, ((1, 1), (2, 1)))
+
+
+def _flags(report):
+    return {
+        "male_optimal": report.male_optimal_ok,
+        "female_optimal": report.female_optimal_ok,
+        "rotation_forms": report.rotation_forms_ok,
+        "poset_isomorphic": report.poset_isomorphic_ok,
+        "counts_equal": report.counts_equal,
+    }
+
+
+def _assert_fails_exactly(report, failing):
+    flags = _flags(report)
+    assert {name for name, ok in flags.items() if not ok} == set(failing)
+    assert not report.all_ok
+    lines = str(report).splitlines()
+    for name in flags:
+        mark = "FAIL" if name in failing else "pass"
+        assert f"{name + ':':<18}{mark}" in lines
+    assert report.details  # every failure says why
+
+
+def test_report_string_marks_failures(monkeypatch):
     report = verify_reduction(SINGLE_EDGE, "lists")
     text = str(report)
     assert "pass" in text and "FAIL" not in text
+    # the instance of another graph with as many edges: same 3n people
+    monkeypatch.setattr(
+        stablecount.reductions, "build_instance",
+        lambda graph, model: gen_partial_lists(GRAPH_4X5),
+    )
+    report = verify_reduction(GRAPH_3X4, "lists")
+    _assert_fails_exactly(
+        report, ("female_optimal", "rotation_forms", "poset_isomorphic", "counts_equal")
+    )
+    assert (report.is_count, report.sm_count) == (29, 93)
+    assert "counts differ: #IS=29 #SM=93" in report.details.splitlines()
+
+
+def test_verifier_fails_transposed_instance(monkeypatch):
+    build = stablecount.reductions.build_instance
+    monkeypatch.setattr(
+        stablecount.reductions, "build_instance",
+        lambda graph, model: build(graph, model).transposed(),
+    )
+    for g in (GRAPH_3X4, TWO_EDGE_PATH):
+        report = verify_reduction(g, "lists")
+        # the same lattice upside down: equal counts, every shape wrong
+        _assert_fails_exactly(
+            report, ("male_optimal", "female_optimal", "rotation_forms", "poset_isomorphic")
+        )
+        assert report.is_count == report.sm_count == independent_sets_oracle(g)
+        assert report.details.startswith("male-optimal differs: ")
+
+
+def test_verifier_fails_wrong_order(monkeypatch):
+    # the right rotations with every relation between them dropped
+    def unordered(inst):
+        rposet = rotation_poset(inst)
+        return RotationPoset.from_below(
+            (0,) * rposet.size,
+            rotations=rposet.rotations,
+            man_optimal=rposet.man_optimal,
+            woman_optimal=rposet.woman_optimal,
+        )
+
+    monkeypatch.setattr(stablecount.reductions, "rotation_poset", unordered)
+    report = verify_reduction(GRAPH_3X4, "lists")
+    _assert_fails_exactly(report, ("poset_isomorphic", "counts_equal"))
+    assert report.sm_count == 2**7
+
+
+def test_verifier_fails_missing_rotation(monkeypatch):
+    def short(inst):
+        rposet = rotation_poset(inst)
+        return RotationPoset.from_below(
+            rposet.below[:-1],
+            rotations=rposet.rotations[:-1],
+            man_optimal=rposet.man_optimal,
+            woman_optimal=rposet.woman_optimal,
+        )
+
+    monkeypatch.setattr(stablecount.reductions, "rotation_poset", short)
+    report = verify_reduction(GRAPH_3X4, "lists")
+    _assert_fails_exactly(report, ("rotation_forms", "poset_isomorphic", "counts_equal"))
+    assert report.details.splitlines()[0] == (
+        "rotation multiset does not cover every vertex exactly once"
+    )
+
+
+def test_verifier_labels_rotations_by_pairs_not_position(monkeypatch):
+    # another elimination order lists the rotations in another linear
+    # extension; the verifier must still match each to its vertex
+    def reversed_walk(inst):
+        return rotation_poset(inst, tuple(range(inst.n, 0, -1)))
+
+    monkeypatch.setattr(stablecount.reductions, "rotation_poset", reversed_walk)
+    for g in (GRAPH_3X4, GRAPH_4X5):
+        inst = gen_partial_lists(g)
+        assert [r.pairs for r in reversed_walk(inst).rotations] != [
+            r.pairs for r in rotation_poset(inst).rotations
+        ]
+        report = verify_reduction(g, "lists")
+        assert report.all_ok, str(report)

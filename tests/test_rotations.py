@@ -56,6 +56,35 @@ def test_rotation_rejects_repeated_woman():
     assert err.value.line == 2
 
 
+def test_rotation_rejects_indices_below_one():
+    for pairs in (((0, -3), (-1, 5)), ((1, 2), (2, 0)), ((0, 1), (2, 2))):
+        with pytest.raises(ValueError, match="rotation indices must be at least 1"):
+            Rotation(pairs)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("rotten: (0,-3) (-1,5)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("rot 1: (0,-3) (-1,5)\n", 1, "rotation indices must be at least 1"),
+        ("rot 1: (1,2) (2,1)\nrot 2: (1,1) (2,0)\n", 2,
+         "rotation indices must be at least 1"),
+        ("rot 0: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("rot -1: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("rot: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("rot 1 2: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("rot x: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("# c\nrot 1: (1,2) (2,1)\nrotation 2: (1,1) (2,2)\n", 3,
+         "expected 'rot k: (m,w) ...'"),
+    ],
+)
+def test_parse_rotation_rejects_bad_heads_and_indices(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_rotation(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
 def test_steps_follow_the_cycle():
     r = Rotation(((2, 5), (3, 4), (1, 6)))
     assert r.steps == ((1, 6, 5), (2, 5, 4), (3, 4, 6))
