@@ -26,7 +26,6 @@ from .core import (
     parse_matching,
 )
 from .counting import (
-    SizeLimitError,
     count_downsets,
     count_independent_sets,
     count_stable_matchings,
@@ -37,7 +36,6 @@ from .counting import (
 from .gale_shapley import blocking_pairs, propose_optimal
 from .geometry import (
     OneAttributeSpec,
-    TieDetected,
     count_1attribute,
     format_geometric,
     induced_instance,
@@ -249,7 +247,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ParseError, TieDetected, SizeLimitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, TieDetected, SizeLimitError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

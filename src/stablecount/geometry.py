@@ -1,14 +1,16 @@
 """Geometric preference models and certified instance construction.
 
-Three models induce preference lists from coordinates:
+Three models induce preference lists from coordinates.  Each spec type
+carries its header name ``model`` and its dimension ``k``; the two vector
+models share one spec type and one loop that ranks both sides.
 
-* ``dot``: every person has a position vector and a preference vector in
-  R^k; they rank the opposite side by descending inner product of their
-  preference vector with the candidates' positions.
-* ``euclid``: every person has a position and an ideal point; they rank
-  the opposite side by ascending distance from their ideal point.
-* ``1d``: the one-dimensional dot model (a single attribute per person
-  and a signed preference scalar).
+* ``dot`` (AttributeSpec): every person has a position vector and a
+  preference vector in R^k; they rank the opposite side by descending
+  inner product of their preference vector with the candidates' positions.
+* ``euclid`` (EuclideanSpec): every person has a position and an ideal
+  point; they rank the opposite side by ascending distance from it.
+* ``1d`` (OneAttributeSpec): the one-dimensional dot model (a single
+  attribute per person and a signed preference scalar).
 
 Coordinates are exact: rationals, powers, and the values cos(2*pi*q) /
 sin(2*pi*q) for rational q, closed under products and sums, kept as sums
@@ -324,60 +326,52 @@ def format_value(value: Value) -> str:
     return "+".join(parts) or "0"
 
 
+Value.__str__ = format_value
+
+
 # -- model specifications ----------------------------------------------
 
 
-def _check_vectors(vectors, n: int, k: int, label: str) -> tuple[tuple[Value, ...], ...]:
-    vecs = tuple(tuple(v) for v in vectors)
-    if len(vecs) != n:
-        raise ValueError(f"expected {n} {label} vectors, got {len(vecs)}")
-    for vec in vecs:
-        if len(vec) != k:
-            raise ValueError(f"{label} vectors must have {k} coordinates")
-    return vecs
-
-
 @dataclass(frozen=True)
-class AttributeSpec:
+class _VectorSpec:
+    """n positions and n preference vectors per side, each of k coordinates
+    made by the subclass's ``_coordinate``; ``model`` names it in headers."""
+
+    k: int
+    n: int
+    men_pos: tuple[tuple, ...]
+    men_pref: tuple[tuple, ...]
+    women_pos: tuple[tuple, ...]
+    women_pref: tuple[tuple, ...]
+
+    def __post_init__(self) -> None:
+        for name in ("men_pos", "men_pref", "women_pos", "women_pref"):
+            vecs = tuple(tuple(map(self._coordinate, v)) for v in getattr(self, name))
+            if len(vecs) != self.n or any(len(v) != self.k for v in vecs):
+                raise ValueError(f"{name}: expected {self.n} vectors of {self.k} coordinates")
+            object.__setattr__(self, name, vecs)
+
+
+class AttributeSpec(_VectorSpec):
     """Dot-product model: positions and preference vectors in R^k."""
 
-    k: int
-    n: int
-    men_pos: tuple[tuple[Value, ...], ...]
-    men_pref: tuple[tuple[Value, ...], ...]
-    women_pos: tuple[tuple[Value, ...], ...]
-    women_pref: tuple[tuple[Value, ...], ...]
-
-    def __post_init__(self) -> None:
-        for name in ("men_pos", "men_pref", "women_pos", "women_pref"):
-            object.__setattr__(
-                self, name, _check_vectors(getattr(self, name), self.n, self.k, name)
-            )
+    model = "dot"
+    _coordinate = staticmethod(lambda x: x)
 
 
-@dataclass(frozen=True)
-class EuclideanSpec:
+class EuclideanSpec(_VectorSpec):
     """Euclidean model: positions and ideal points in R^k, all rational."""
 
-    k: int
-    n: int
-    men_pos: tuple[tuple[Fraction, ...], ...]
-    men_pref: tuple[tuple[Fraction, ...], ...]
-    women_pos: tuple[tuple[Fraction, ...], ...]
-    women_pref: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        for name in ("men_pos", "men_pref", "women_pos", "women_pref"):
-            vecs = tuple(tuple(Fraction(x) for x in v) for v in getattr(self, name))
-            if len(vecs) != self.n or any(len(v) != self.k for v in vecs):
-                raise ValueError(f"{name}: expected {self.n} vectors of {self.k} rationals")
-            object.__setattr__(self, name, vecs)
+    model = "euclid"
+    _coordinate = Fraction
 
 
 @dataclass(frozen=True)
 class OneAttributeSpec:
     """One attribute per person plus a signed preference scalar."""
 
+    model = "1d"
+    k = 1
     n: int
     men: tuple[tuple[Fraction, Fraction], ...]
     women: tuple[tuple[Fraction, Fraction], ...]
@@ -398,8 +392,20 @@ class OneAttributeSpec:
 # -- inducing instances ------------------------------------------------
 
 
-def _sorted_by_score(scores: list[Value], person: str) -> tuple[int, ...]:
-    # descending by score; candidates are 1-based indices into scores
+def _induced(n: int, men_pos, men_pref, women_pos, women_pref, rank) -> Instance:
+    # man i's list is rank(his preference, the women's positions, "man i"),
+    # and woman j's list is made the same way
+    return Instance(
+        n,
+        tuple(rank(p, women_pos, f"man {i}") for i, p in enumerate(men_pref, 1)),
+        tuple(rank(p, men_pos, f"woman {j}") for j, p in enumerate(women_pref, 1)),
+    )
+
+
+def _sorted_by_score(pref: Scaled, positions: list[Scaled], person: str) -> tuple[int, ...]:
+    # candidates 1..len(positions) by descending dot product with pref
+    scores = [_scaled_dot(pref, pos) for pos in positions]
+
     def cmp(a: int, b: int) -> int:
         try:
             c = compare_values(scores[a - 1], scores[b - 1])
@@ -411,7 +417,6 @@ def _sorted_by_score(scores: list[Value], person: str) -> tuple[int, ...]:
         return -c
 
     key = functools.cmp_to_key(cmp)
-    candidates = range(1, len(scores) + 1)
     # Enclose each score once.  Going down by upper endpoint, a candidate
     # whose upper endpoint lies below every lower endpoint seen so far is
     # certified below all earlier candidates and starts a new run; only the
@@ -420,7 +425,7 @@ def _sorted_by_score(scores: list[Value], person: str) -> tuple[int, ...]:
     boxes = [_value_interval(score.terms, DEFAULT_BITS) for score in scores]
     runs: list[list[int]] = []
     floor = None
-    for c in sorted(candidates, key=lambda c: boxes[c - 1][1], reverse=True):
+    for c in sorted(range(1, len(scores) + 1), key=lambda c: boxes[c - 1][1], reverse=True):
         lo, hi = boxes[c - 1]
         if floor is None or hi < floor:
             runs.append([])
@@ -434,19 +439,9 @@ def instance_from_dot(spec: AttributeSpec) -> Instance:
 
     Raises TieDetected if any person's scores cannot be strictly ordered.
     """
-    men_pos, men_pref, women_pos, women_pref = (
-        [_scaled(vec) for vec in vecs]
-        for vecs in (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
-    )
-    men_lists = []
-    for i, pref in enumerate(men_pref, start=1):
-        scores = [_scaled_dot(pref, pos) for pos in women_pos]
-        men_lists.append(_sorted_by_score(scores, f"man {i}"))
-    women_lists = []
-    for j, pref in enumerate(women_pref, start=1):
-        scores = [_scaled_dot(pref, pos) for pos in men_pos]
-        women_lists.append(_sorted_by_score(scores, f"woman {j}"))
-    return Instance(spec.n, tuple(men_lists), tuple(women_lists))
+    blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
+    scaled = ([_scaled(vec) for vec in block] for block in blocks)
+    return _induced(spec.n, *scaled, _sorted_by_score)
 
 
 def _ascending(keys: list, person: str, what: str) -> tuple[int, ...]:
@@ -464,26 +459,17 @@ def instance_from_euclidean(spec: EuclideanSpec) -> Instance:
     their denominators, which keeps every order and exact tie, so the
     distances compared are integers.  Raises TieDetected on equidistant
     candidates."""
-    vecs = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
-    d = lcm(*(x.denominator for block in vecs for vec in block for x in vec))
-    men_pos, men_pref, women_pos, women_pref = (
-        [[x.numerator * (d // x.denominator) for x in vec] for vec in block]
-        for block in vecs
-    )
 
-    def ranking(ideal, positions, person: str) -> tuple[int, ...]:
-        dists = [
-            sum((a - b) ** 2 for a, b in zip(ideal, pos)) for pos in positions
-        ]
+    def ranking(ideal: list[int], positions: list[list[int]], person: str) -> tuple[int, ...]:
+        dists = [sum((a - b) ** 2 for a, b in zip(ideal, pos)) for pos in positions]
         return _ascending(dists, person, "are exactly equidistant")
 
-    men_lists = tuple(
-        ranking(p, women_pos, f"man {i}") for i, p in enumerate(men_pref, 1)
+    blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
+    d = lcm(*(x.denominator for block in blocks for vec in block for x in vec))
+    scaled = (
+        [[x.numerator * (d // x.denominator) for x in vec] for vec in block] for block in blocks
     )
-    women_lists = tuple(
-        ranking(p, men_pos, f"woman {j}") for j, p in enumerate(women_pref, 1)
-    )
-    return Instance(spec.n, men_lists, women_lists)
+    return _induced(spec.n, *scaled, ranking)
 
 
 def instance_from_1attribute(spec: OneAttributeSpec) -> Instance:
@@ -517,7 +503,7 @@ def count_1attribute(spec: OneAttributeSpec) -> int:
 
 # -- textual format ----------------------------------------------------
 
-_MODELS = ("dot", "euclid", "1d")
+_SPECS = {spec.model: spec for spec in (AttributeSpec, EuclideanSpec, OneAttributeSpec)}
 
 
 def parse_geometric(text: str):
@@ -530,19 +516,20 @@ def parse_geometric(text: str):
     """
     lineno, header, lines = _header(text)
     parts = header.split()
-    if len(parts) != 4 or parts[0] != "model" or parts[1] not in _MODELS:
+    if len(parts) != 4 or parts[0] != "model" or parts[1] not in _SPECS:
         raise ParseError("expected header 'model dot|euclid|1d k n'", lineno)
-    model = parts[1]
+    model, spec_type = parts[1], _SPECS[parts[1]]
     try:
         k, n = int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError("k and n must be integers", lineno) from None
-    if model == "1d" and k != 1:
+    if spec_type is OneAttributeSpec and k != 1:
         raise ParseError("the 1d model has k = 1", lineno)
+    if n < 1:
+        raise ParseError("n must be positive", lineno)
 
-    data: dict[str, dict[int, tuple[Value, ...]]] = {
-        key: {} for key in ("mpos", "mpref", "wpos", "wpref")
-    }
+    keys = ("mpos", "mpref", "wpos", "wpref")
+    data: dict[str, dict[int, tuple[Value, ...]]] = {key: {} for key in keys}
     for lineno, line in lines:
         head, sep, rest = line.partition(":")
         fields = head.split()
@@ -571,9 +558,9 @@ def parse_geometric(text: str):
             raise ParseError(f"missing {key} lines: {missing}")
         return tuple(given[i] for i in range(1, n + 1))
 
-    mpos, mpref, wpos, wpref = (rows(k_) for k_ in ("mpos", "mpref", "wpos", "wpref"))
-    if model == "dot":
-        return AttributeSpec(k, n, mpos, mpref, wpos, wpref)
+    blocks = [rows(key) for key in keys]
+    if spec_type is AttributeSpec:
+        return AttributeSpec(k, n, *blocks)
 
     def fractions(vecs, label):
         try:
@@ -581,41 +568,28 @@ def parse_geometric(text: str):
         except ValueError:
             raise ParseError(f"{label}: the {model} model needs rational coordinates") from None
 
-    mpos, mpref, wpos, wpref = (
-        fractions(v, lbl)
-        for v, lbl in ((mpos, "mpos"), (mpref, "mpref"), (wpos, "wpos"), (wpref, "wpref"))
-    )
-    if model == "euclid":
-        return EuclideanSpec(k, n, mpos, mpref, wpos, wpref)
-    men = tuple((pos[0], pref[0]) for pos, pref in zip(mpos, mpref))
-    women = tuple((pos[0], pref[0]) for pos, pref in zip(wpos, wpref))
+    blocks = [fractions(b, key) for b, key in zip(blocks, keys)]
+    if spec_type is EuclideanSpec:
+        return EuclideanSpec(k, n, *blocks)
+    mpos, mpref, wpos, wpref = blocks  # vectors of one coordinate each
+    men = tuple(pos + pref for pos, pref in zip(mpos, mpref))
+    women = tuple(pos + pref for pos, pref in zip(wpos, wpref))
     return OneAttributeSpec(n, men, women)
 
 
 def format_geometric(spec) -> str:
-    if isinstance(spec, AttributeSpec):
-        model, k = "dot", spec.k
-        fmt = format_value
+    """Write a spec in the format that parse_geometric reads."""
+    if isinstance(spec, OneAttributeSpec):
+        # mpos, mpref, wpos, wpref: one coordinate per person
+        blocks = [[(x,) for x in xs] for side in (spec.men, spec.women) for xs in zip(*side)]
+    elif isinstance(spec, _VectorSpec):
         blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
-    elif isinstance(spec, EuclideanSpec):
-        model, k = "euclid", spec.k
-        fmt = str
-        blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
-    elif isinstance(spec, OneAttributeSpec):
-        model, k = "1d", 1
-        fmt = str
-        blocks = (
-            tuple((a,) for a, _ in spec.men),
-            tuple((p,) for _, p in spec.men),
-            tuple((a,) for a, _ in spec.women),
-            tuple((p,) for _, p in spec.women),
-        )
     else:
         raise TypeError(f"not a geometric spec: {spec!r}")
-    out = [f"model {model} {k} {spec.n}"]
+    out = [f"model {spec.model} {spec.k} {spec.n}"]
     for key, rows in zip(("mpos", "mpref", "wpos", "wpref"), blocks):
         for i, vec in enumerate(rows, start=1):
-            out.append(f"{key} {i}: " + " ".join(fmt(x) for x in vec))
+            out.append(f"{key} {i}: " + " ".join(map(str, vec)))
     return "\n".join(out) + "\n"
 
 

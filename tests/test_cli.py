@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -209,6 +210,101 @@ def test_gen_tau_permutes_lists_b_block(write, capsys):
     )
 
 
+# sha256 of the full `gen` stdout on GRAPH_3X4 (49, 97 and 97 lines)
+GEN_3X4_SHA256 = {
+    "lists": "dab745ba71d006d01ad28e3af1f316676b0ae520d8cf5075d6c414ddd4eacb8b",
+    "attr3": "1ddaadee5326abcb39668cc11873aa978f8c38e6980a1fb0361c596be494b544",
+    "euclid2": "5e263c3e04421e3a2601c86d2688275682f27401b3da12559ac84a8535593b4b",
+}
+GEN_PATH = {
+    "lists": (
+        "n 6\n"
+        "m 1: 1 3 2 4 5 6\n"
+        "m 2: 2 4 1 3 5 6\n"
+        "m 3: 4 3 1 5 2 6\n"
+        "m 4: 4 3 2 5 1 6\n"
+        "m 5: 5 2 1 3 4 6\n"
+        "m 6: 6 1 2 3 4 5\n"
+        "w 1: 6 5 3 1 2 4\n"
+        "w 2: 6 5 4 2 1 3\n"
+        "w 3: 1 3 2 4 5 6\n"
+        "w 4: 2 4 1 3 5 6\n"
+        "w 5: 3 5 1 2 4 6\n"
+        "w 6: 4 6 1 2 3 5\n"
+    ),
+    "attr3": (
+        "model dot 3 6\n"
+        "mpos 1: 1 0 0\n"
+        "mpos 2: -1 0 0\n"
+        "mpos 3: 1/2 cos(1/12) 0\n"
+        "mpos 4: -1/2 -1*cos(1/12) 0\n"
+        "mpos 5: 0 1 4\n"
+        "mpos 6: 0 -1 16\n"
+        "mpref 1: cos(241/2652) cos(211/1326) 0\n"
+        "mpref 2: cos(23/102) cos(5/204) 0\n"
+        "mpref 3: 1/2*cos(3579/22100)+-1/2*cos(4021/22100) "
+        "1/2*cos(376/5525)+-1/2*cos(973/11050) cos(1/100)\n"
+        "mpref 4: 1/2*cos(151/5525)+-1/2*cos(523/11050) "
+        "1/2*cos(4479/22100)+-1/2*cos(4921/22100) cos(1/100)\n"
+        "mpref 5: cos(184/1105) cos(369/4420) 0\n"
+        "mpref 6: cos(141/4420) cos(241/1105) 0\n"
+        "wpos 1: cos(1/13) cos(9/52) 0\n"
+        "wpos 2: cos(11/52) cos(1/26) 0\n"
+        "wpos 3: cos(3/26) cos(7/52) 4\n"
+        "wpos 4: 0 1 16\n"
+        "wpos 5: cos(7/52) cos(3/26) 0\n"
+        "wpos 6: 1 0 0\n"
+        "wpref 1: 1/2*cos(241/3400)+-1/2*cos(309/3400) "
+        "1/2*cos(541/3400)+-1/2*cos(609/3400) cos(1/100)\n"
+        "wpref 2: -1/2*cos(241/3400)+1/2*cos(309/3400) "
+        "-1/2*cos(541/3400)+1/2*cos(609/3400) cos(1/100)\n"
+        "wpref 3: cos(47/680) cos(123/680) 0\n"
+        "wpref 4: -1*cos(47/680) -1*cos(123/680) 0\n"
+        "wpref 5: cos(241/1224) cos(65/1224) 0\n"
+        "wpref 6: -1*cos(241/1224) -1*cos(65/1224) 0\n"
+    ),
+    "euclid2": (
+        "model euclid 2 6\n"
+        "mpos 1: 3/10 0\n"
+        "mpos 2: 23/10 0\n"
+        "mpos 3: 1 0\n"
+        "mpos 4: 3 0\n"
+        "mpos 5: 0 1\n"
+        "mpos 6: 0 3\n"
+        "mpref 1: 70001/70000 9999/10000\n"
+        "mpref 2: 140001/70000 19999/10000\n"
+        "mpref 3: 70001/70000 1000000\n"
+        "mpref 4: 140001/70000 1000000\n"
+        "mpref 5: 112001/70000 0\n"
+        "mpref 6: 42001/70000 0\n"
+        "wpos 1: 1 0\n"
+        "wpos 2: 2 0\n"
+        "wpos 3: 0 1\n"
+        "wpos 4: 0 2\n"
+        "wpos 5: 13/10 0\n"
+        "wpos 6: 3/10 0\n"
+        "wpref 1: 70001/70000 1000000\n"
+        "wpref 2: 210001/70000 1000000\n"
+        "wpref 3: 42001/70000 0\n"
+        "wpref 4: 182001/70000 0\n"
+        "wpref 5: 70001/70000 9999/10000\n"
+        "wpref 6: 210001/70000 29999/10000\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("model", ["lists", "attr3", "euclid2"])
+def test_gen_output_is_pinned(write, capsys, model):
+    bis = write("g.bis", format_bipartite(GRAPH_3X4))
+    assert run(["gen", "--model", model, bis]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GEN_3X4_SHA256[model]
+    assert captured.err == ""
+    bis = write("path.bis", "bis 2 1\ne 1 1\ne 2 1\n")
+    assert run(["gen", "--model", model, bis]) == 0
+    assert capsys.readouterr().out == GEN_PATH[model]
+
+
 VERIFY_PASSED = (
     "male_optimal:     pass\n"
     "female_optimal:   pass\n"
@@ -284,6 +380,18 @@ def test_zero_denominator_is_an_error(write, capsys, model, token):
     assert captured.err == (
         f"error: line 3: division by zero in coordinate token '{token}'\n"
     )
+
+
+@pytest.mark.parametrize("command", ["count", "count-1d"])
+@pytest.mark.parametrize(
+    "header", ["model dot 1 -2", "model euclid 1 -2", "model dot 1 0", "model 1d 1 0"]
+)
+def test_geometric_header_rejects_nonpositive_n(write, capsys, command, header):
+    path = write("spec.txt", header + "\n")
+    assert run([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: n must be positive\n"
 
 
 def test_usage_error_exits_two(capsys):

@@ -636,3 +636,46 @@ def test_format_geometric_round_trip():
     assert parse_geometric(format_geometric(dot)) == dot
     attr3 = gen_3attribute(GRAPH_3X4)  # coordinates that are sums of cosines
     assert parse_geometric(format_geometric(attr3)) == attr3
+
+
+def test_format_geometric_text_is_pinned():
+    spec = EuclideanSpec(
+        2, 2,
+        men_pos=((F(1, 2), 0), (F(-3), F(7, 4))),
+        men_pref=((1, 2), (0, F(5, 3))),
+        women_pos=((F(2), F(0)), (F(1, 3), F(-1, 3))),
+        women_pref=((F(9), F(1, 9)), (F(0), F(-2))),
+    )
+    assert format_geometric(spec) == (
+        "model euclid 2 2\n"
+        "mpos 1: 1/2 0\nmpos 2: -3 7/4\n"
+        "mpref 1: 1 2\nmpref 2: 0 5/3\n"
+        "wpos 1: 2 0\nwpos 2: 1/3 -1/3\n"
+        "wpref 1: 9 1/9\nwpref 2: 0 -2\n"
+    )
+    spec = OneAttributeSpec(2, ((F(3, 2), F(1)), (F(-1), F(-4, 5))), ((F(0), F(2)), (F(7), F(-1))))
+    assert format_geometric(spec) == (
+        "model 1d 1 2\n"
+        "mpos 1: 3/2\nmpos 2: -1\n"
+        "mpref 1: 1\nmpref 2: -4/5\n"
+        "wpos 1: 0\nwpos 2: 7\n"
+        "wpref 1: 2\nwpref 2: -1\n"
+    )
+
+
+def test_value_str_is_format_value():
+    value = Value.trig("sin", F(1, 100)) * Value.trig("cos", F(17, 19)) + Value.rational(3)
+    assert str(value) == format_value(value) == "3+1/2*cos(64/475)+-1/2*cos(147/950)"
+    assert str(Value.ZERO) == "0"
+
+
+@pytest.mark.parametrize("spec_type", [AttributeSpec, EuclideanSpec])
+def test_vector_spec_shape_errors_name_the_block(spec_type):
+    one = Value.ONE if spec_type is AttributeSpec else F(1)
+    good = ((one, one),) * 2
+    blocks = dict(men_pos=good, men_pref=good, women_pos=good, women_pref=good)
+    spec_type(2, 2, **blocks)
+    for block in blocks:
+        for bad in (good[:1], good + good[:1], ((one,), (one, one))):
+            with pytest.raises(ValueError, match=rf"\b{block}\b"):
+                spec_type(2, 2, **dict(blocks, **{block: bad}))

@@ -437,3 +437,32 @@ def test_verifier_labels_rotations_by_pairs_not_position(monkeypatch):
         ]
         report = verify_reduction(g, "lists")
         assert report.all_ok, str(report)
+
+
+def test_verifier_counts_a_second_poset_only_when_they_differ(monkeypatch):
+    counted = []
+    plain = stablecount.reductions.count_downsets
+
+    def counted_count(poset):
+        counted.append(poset.size)
+        return plain(poset)
+
+    monkeypatch.setattr(stablecount.reductions, "count_downsets", counted_count)
+    report = verify_reduction(GRAPH_3X4, "lists")
+    assert report.all_ok and report.sm_count == 29
+    assert counted == [GRAPH_3X4.size]
+
+    def unordered(inst):  # as in test_verifier_fails_wrong_order
+        rposet = rotation_poset(inst)
+        return RotationPoset.from_below(
+            (0,) * rposet.size,
+            rotations=rposet.rotations,
+            man_optimal=rposet.man_optimal,
+            woman_optimal=rposet.woman_optimal,
+        )
+
+    counted.clear()
+    monkeypatch.setattr(stablecount.reductions, "rotation_poset", unordered)
+    report = verify_reduction(GRAPH_3X4, "lists")
+    assert not report.poset_isomorphic_ok and report.sm_count == 2**7
+    assert counted == [GRAPH_3X4.size] * 2
