@@ -1,16 +1,17 @@
 """Geometric preference models and certified instance construction.
 
-Three models induce preference lists from coordinates.  Each spec type
-carries its header name ``model`` and its dimension ``k``; the two vector
-models share one spec type and one loop that ranks both sides.
+Three models induce preference lists from coordinates.  They share one
+spec type: every person has a position and a preference vector of k
+coordinates, and each spec type carries its header name ``model``.  The
+two vector models share one loop that ranks both sides.
 
-* ``dot`` (AttributeSpec): every person has a position vector and a
-  preference vector in R^k; they rank the opposite side by descending
+* ``dot`` (AttributeSpec): they rank the opposite side by descending
   inner product of their preference vector with the candidates' positions.
-* ``euclid`` (EuclideanSpec): every person has a position and an ideal
-  point; they rank the opposite side by ascending distance from it.
-* ``1d`` (OneAttributeSpec): the one-dimensional dot model (a single
-  attribute per person and a signed preference scalar).
+* ``euclid`` (EuclideanSpec): the preference vector is an ideal point;
+  they rank the opposite side by ascending distance from it.
+* ``1d`` (OneAttributeSpec): the dot model with k = 1, rational
+  coordinates and nonzero preferences, ranked by one sort of each side's
+  positions and its reverse.
 
 Coordinates are exact: rationals, powers, and the values cos(2*pi*q) /
 sin(2*pi*q) for rational q, closed under products and sums, kept as sums
@@ -345,6 +346,8 @@ class _VectorSpec:
     women_pref: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be positive")
         for name in ("men_pos", "men_pref", "women_pos", "women_pref"):
             vecs = tuple(tuple(map(self._coordinate, v)) for v in getattr(self, name))
             if len(vecs) != self.n or any(len(v) != self.k for v in vecs):
@@ -356,7 +359,10 @@ class AttributeSpec(_VectorSpec):
     """Dot-product model: positions and preference vectors in R^k."""
 
     model = "dot"
-    _coordinate = staticmethod(lambda x: x)
+
+    @staticmethod
+    def _coordinate(x) -> Value:
+        return x if isinstance(x, Value) else Value.rational(x)
 
 
 class EuclideanSpec(_VectorSpec):
@@ -366,27 +372,19 @@ class EuclideanSpec(_VectorSpec):
     _coordinate = Fraction
 
 
-@dataclass(frozen=True)
-class OneAttributeSpec:
-    """One attribute per person plus a signed preference scalar."""
+class OneAttributeSpec(_VectorSpec):
+    """One-attribute model: the dot model with k = 1, all rational, every
+    preference nonzero."""
 
     model = "1d"
-    k = 1
-    n: int
-    men: tuple[tuple[Fraction, Fraction], ...]
-    women: tuple[tuple[Fraction, Fraction], ...]
+    _coordinate = Fraction
 
     def __post_init__(self) -> None:
-        for name in ("men", "women"):
-            people = tuple(
-                (Fraction(a), Fraction(p)) for a, p in getattr(self, name)
-            )
-            if len(people) != self.n:
-                raise ValueError(f"expected {self.n} {name}")
-            for _, pref in people:
-                if pref == 0:
-                    raise ValueError("preference scalar must be nonzero")
-            object.__setattr__(self, name, people)
+        if self.k != 1:
+            raise ValueError("the 1d model has k = 1")
+        super().__post_init__()
+        if any(p == 0 for (p,) in self.men_pref + self.women_pref):
+            raise ValueError("preference scalar must be nonzero")
 
 
 # -- inducing instances ------------------------------------------------
@@ -482,11 +480,11 @@ def instance_from_1attribute(spec: OneAttributeSpec) -> Instance:
     its first person.
     """
     what = "have the same attribute"
-    w_asc = _ascending([a for a, _ in spec.women], "man 1", what)
-    m_asc = _ascending([a for a, _ in spec.men], "woman 1", what)
+    w_asc = _ascending([a for (a,) in spec.women_pos], "man 1", what)
+    m_asc = _ascending([a for (a,) in spec.men_pos], "woman 1", what)
     w_desc, m_desc = w_asc[::-1], m_asc[::-1]
-    men_lists = tuple(w_desc if p > 0 else w_asc for _, p in spec.men)
-    women_lists = tuple(m_desc if p > 0 else m_asc for _, p in spec.women)
+    men_lists = tuple(w_desc if p > 0 else w_asc for (p,) in spec.men_pref)
+    women_lists = tuple(m_desc if p > 0 else m_asc for (p,) in spec.women_pref)
     return Instance(spec.n, men_lists, women_lists)
 
 
@@ -525,6 +523,8 @@ def parse_geometric(text: str):
         raise ParseError("k and n must be integers", lineno) from None
     if spec_type is OneAttributeSpec and k != 1:
         raise ParseError("the 1d model has k = 1", lineno)
+    if k < 1:
+        raise ParseError("k must be positive", lineno)
     if n < 1:
         raise ParseError("n must be positive", lineno)
 
@@ -559,8 +559,6 @@ def parse_geometric(text: str):
         return tuple(given[i] for i in range(1, n + 1))
 
     blocks = [rows(key) for key in keys]
-    if spec_type is AttributeSpec:
-        return AttributeSpec(k, n, *blocks)
 
     def fractions(vecs, label):
         try:
@@ -568,24 +566,16 @@ def parse_geometric(text: str):
         except ValueError:
             raise ParseError(f"{label}: the {model} model needs rational coordinates") from None
 
-    blocks = [fractions(b, key) for b, key in zip(blocks, keys)]
-    if spec_type is EuclideanSpec:
-        return EuclideanSpec(k, n, *blocks)
-    mpos, mpref, wpos, wpref = blocks  # vectors of one coordinate each
-    men = tuple(pos + pref for pos, pref in zip(mpos, mpref))
-    women = tuple(pos + pref for pos, pref in zip(wpos, wpref))
-    return OneAttributeSpec(n, men, women)
+    if spec_type._coordinate is Fraction:
+        blocks = [fractions(b, key) for b, key in zip(blocks, keys)]
+    return spec_type(k, n, *blocks)
 
 
 def format_geometric(spec) -> str:
     """Write a spec in the format that parse_geometric reads."""
-    if isinstance(spec, OneAttributeSpec):
-        # mpos, mpref, wpos, wpref: one coordinate per person
-        blocks = [[(x,) for x in xs] for side in (spec.men, spec.women) for xs in zip(*side)]
-    elif isinstance(spec, _VectorSpec):
-        blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
-    else:
+    if not isinstance(spec, _VectorSpec):
         raise TypeError(f"not a geometric spec: {spec!r}")
+    blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
     out = [f"model {spec.model} {spec.k} {spec.n}"]
     for key, rows in zip(("mpos", "mpref", "wpos", "wpref"), blocks):
         for i, vec in enumerate(rows, start=1):

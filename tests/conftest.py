@@ -65,12 +65,10 @@ def random_bipartite(
 def random_1attribute(rng: random.Random, n: int) -> OneAttributeSpec:
     def side():
         attrs = rng.sample(range(-10 * n, 10 * n + 1), n)
-        return tuple(
-            (Fraction(a), Fraction(rng.choice([-1, 1]) * rng.randint(1, 9)))
-            for a in attrs
-        )
+        prefs = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in attrs]
+        return tuple((Fraction(a),) for a in attrs), tuple((Fraction(p),) for p in prefs)
 
-    return OneAttributeSpec(n, side(), side())
+    return OneAttributeSpec(1, n, *side(), *side())
 
 
 def all_small_bipartite(max_edges: int):

@@ -394,6 +394,22 @@ def test_geometric_header_rejects_nonpositive_n(write, capsys, command, header):
     assert captured.err == "error: line 1: n must be positive\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "model dot -1 1\nmpos 1: 1\n",
+        "model dot 0 1\nmpos 1:\nmpref 1:\nwpos 1:\nwpref 1:\n",
+        "model euclid 0 2\n",
+    ],
+)
+def test_geometric_header_rejects_nonpositive_k(write, capsys, text):
+    path = write("spec.txt", text)
+    assert run(["count", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: k must be positive\n"
+
+
 def test_usage_error_exits_two(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

@@ -19,6 +19,7 @@ from conftest import (
 from stablecount import (
     AttributeSpec,
     EuclideanSpec,
+    Instance,
     OneAttributeSpec,
     ParseError,
     TieDetected,
@@ -241,15 +242,21 @@ def test_tie_messages_name_person_and_candidates():
     )
 
     spec = OneAttributeSpec(
-        3,
-        ((F(1), F(1)), (F(5), F(1)), (F(3), F(-1))),
-        ((F(1), F(1)), (F(2), F(1)), (F(2), F(1))),
+        1, 3,
+        men_pos=((F(1),), (F(5),), (F(3),)),
+        men_pref=((F(1),), (F(1),), (F(-1),)),
+        women_pos=((F(1),), (F(2),), (F(2),)),
+        women_pref=((F(1),), (F(1),), (F(1),)),
     )
     with pytest.raises(TieDetected) as err:
         instance_from_1attribute(spec)
     assert str(err.value) == "man 1: candidates 2 and 3 have the same attribute"
     spec = OneAttributeSpec(
-        2, ((F(7), F(1)), (F(7), F(1))), ((F(1), F(1)), (F(2), F(1)))
+        1, 2,
+        men_pos=((F(7),), (F(7),)),
+        men_pref=((F(1),), (F(1),)),
+        women_pos=((F(1),), (F(2),)),
+        women_pref=((F(1),), (F(1),)),
     )
     with pytest.raises(TieDetected) as err:
         instance_from_1attribute(spec)
@@ -503,7 +510,7 @@ def test_1attribute_lists_are_reverses():
     for _ in range(20):
         spec = random_1attribute(rng, rng.randint(2, 7))
         inst = instance_from_1attribute(spec)
-        signs = [p > 0 for _, p in spec.men]
+        signs = [p > 0 for (p,) in spec.men_pref]
         for i in range(spec.n):
             for j in range(spec.n):
                 if signs[i] != signs[j]:
@@ -513,20 +520,23 @@ def test_1attribute_lists_are_reverses():
 
 
 def test_1attribute_rejects_zero_preference():
-    with pytest.raises(ValueError):
-        OneAttributeSpec(1, ((F(1), F(0)),), ((F(1), F(1)),))
+    with pytest.raises(ValueError, match="preference scalar must be nonzero"):
+        OneAttributeSpec(1, 1, ((F(1),),), ((F(0),),), ((F(1),),), ((F(1),),))
+    with pytest.raises(ValueError, match="preference scalar must be nonzero"):
+        OneAttributeSpec(1, 1, ((F(1),),), ((F(1),),), ((F(1),),), ((F(0),),))
 
 
 def test_1attribute_detects_duplicate_attribute():
     spec = OneAttributeSpec(
-        2, ((F(1), F(1)), (F(1), F(1))), ((F(1), F(1)), (F(2), F(1)))
+        1, 2, ((F(1),), (F(1),)), ((F(1),), (F(1),)), ((F(1),), (F(2),)), ((F(1),), (F(1),))
     )
     with pytest.raises(TieDetected):
         instance_from_1attribute(spec)
 
 
 def test_count_1attribute_trivial():
-    assert count_1attribute(OneAttributeSpec(1, ((F(3), F(1)),), ((F(5), F(-2)),))) == 1
+    spec = OneAttributeSpec(1, 1, ((F(3),),), ((F(1),),), ((F(5),),), ((F(-2),),))
+    assert count_1attribute(spec) == 1
 
 
 def test_count_1attribute_aligned_signs_unique():
@@ -536,9 +546,9 @@ def test_count_1attribute_aligned_signs_unique():
         msign = rng.choice([-1, 1])
         wsign = rng.choice([-1, 1])
         spec = OneAttributeSpec(
-            n,
-            tuple((F(a), F(msign)) for a in rng.sample(range(-50, 50), n)),
-            tuple((F(a), F(wsign)) for a in rng.sample(range(-50, 50), n)),
+            1, n,
+            tuple((F(a),) for a in rng.sample(range(-50, 50), n)), ((F(msign),),) * n,
+            tuple((F(a),) for a in rng.sample(range(-50, 50), n)), ((F(wsign),),) * n,
         )
         assert count_1attribute(spec) == 1
         assert len(brute_force_stable_matchings(instance_from_1attribute(spec))) == 1
@@ -597,7 +607,7 @@ def test_parse_geometric_euclid_and_1d():
     assert isinstance(spec, EuclideanSpec)
     spec = parse_geometric("model 1d 1 1\nmpos 1: 4\nmpref 1: 1\nwpos 1: 2\nwpref 1: -1\n")
     assert isinstance(spec, OneAttributeSpec)
-    assert spec.men == ((F(4), F(1)),)
+    assert (spec.men_pos, spec.men_pref) == (((F(4),),), ((F(1),),))
 
 
 def test_parse_geometric_rejects_trig_in_euclid():
@@ -636,6 +646,8 @@ def test_format_geometric_round_trip():
     assert parse_geometric(format_geometric(dot)) == dot
     attr3 = gen_3attribute(GRAPH_3X4)  # coordinates that are sums of cosines
     assert parse_geometric(format_geometric(attr3)) == attr3
+    euclid2 = gen_2euclidean(GRAPH_3X4)
+    assert parse_geometric(format_geometric(euclid2)) == euclid2
 
 
 def test_format_geometric_text_is_pinned():
@@ -653,7 +665,13 @@ def test_format_geometric_text_is_pinned():
         "wpos 1: 2 0\nwpos 2: 1/3 -1/3\n"
         "wpref 1: 9 1/9\nwpref 2: 0 -2\n"
     )
-    spec = OneAttributeSpec(2, ((F(3, 2), F(1)), (F(-1), F(-4, 5))), ((F(0), F(2)), (F(7), F(-1))))
+    spec = OneAttributeSpec(
+        1, 2,
+        men_pos=((F(3, 2),), (F(-1),)),
+        men_pref=((F(1),), (F(-4, 5),)),
+        women_pos=((F(0),), (F(7),)),
+        women_pref=((F(2),), (F(-1),)),
+    )
     assert format_geometric(spec) == (
         "model 1d 1 2\n"
         "mpos 1: 3/2\nmpos 2: -1\n"
@@ -669,13 +687,51 @@ def test_value_str_is_format_value():
     assert str(Value.ZERO) == "0"
 
 
-@pytest.mark.parametrize("spec_type", [AttributeSpec, EuclideanSpec])
+@pytest.mark.parametrize("spec_type", [AttributeSpec, EuclideanSpec, OneAttributeSpec])
 def test_vector_spec_shape_errors_name_the_block(spec_type):
     one = Value.ONE if spec_type is AttributeSpec else F(1)
-    good = ((one, one),) * 2
+    k = 1 if spec_type is OneAttributeSpec else 2
+    vec = (one,) * k
+    good = (vec,) * 2
     blocks = dict(men_pos=good, men_pref=good, women_pos=good, women_pref=good)
-    spec_type(2, 2, **blocks)
+    spec_type(k, 2, **blocks)
     for block in blocks:
-        for bad in (good[:1], good + good[:1], ((one,), (one, one))):
+        for bad in (good[:1], good + good[:1], (vec[1:], vec)):
             with pytest.raises(ValueError, match=rf"\b{block}\b"):
-                spec_type(2, 2, **dict(blocks, **{block: bad}))
+                spec_type(k, 2, **dict(blocks, **{block: bad}))
+    if spec_type is OneAttributeSpec:
+        wide = ((one, one),) * 2
+        with pytest.raises(ValueError, match="the 1d model has k = 1"):
+            spec_type(2, 2, wide, wide, wide, wide)
+
+
+@pytest.mark.parametrize("spec_type", [AttributeSpec, EuclideanSpec])
+@pytest.mark.parametrize("k", [0, -1])
+def test_vector_spec_rejects_nonpositive_k(spec_type, k):
+    empty = ((),)
+    with pytest.raises(ValueError, match="k must be positive"):
+        spec_type(k, 1, empty, empty, empty, empty)
+
+
+def test_attribute_spec_makes_rational_coordinates_values():
+    # _scaled reads the terms of a Value, so an int coordinate becomes one
+    spec = AttributeSpec(1, 1, ((1,),), ((1,),), ((1,),), ((1,),))
+    assert spec.men_pos == ((Value.ONE,),)
+    assert instance_from_dot(spec) == Instance(1, ((1,),), ((1,),))
+
+
+def test_attribute_spec_of_ints_equals_its_value_twin():
+    ints = dict(
+        men_pos=((1, 0), (0, 1)),
+        men_pref=((2, F(1, 3)), (-1, 4)),
+        women_pos=((3, 1), (1, 3)),
+        women_pref=((1, 2), (F(-5, 2), 1)),
+    )
+    values = {
+        name: tuple(tuple(Value.rational(x) for x in vec) for vec in block)
+        for name, block in ints.items()
+    }
+    spec = AttributeSpec(2, 2, **ints)
+    twin = AttributeSpec(2, 2, **values)
+    assert spec == twin
+    assert instance_from_dot(spec) == instance_from_dot(twin)
