@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import os
 import sys
 
@@ -114,7 +115,7 @@ def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.file)
     rposet = rotation_poset(inst)
     print(f"total {count_downsets(rposet)}")
-    for downset in enumerate_downsets(rposet, limit=args.limit):
+    for downset in itertools.islice(enumerate_downsets(rposet), args.limit):
         matching = matching_from_downset(rposet, downset)
         print(" ".join(map(str, matching.wives)))
     return 0

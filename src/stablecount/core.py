@@ -140,9 +140,6 @@ class Matching:
     def n(self) -> int:
         return len(self.wives)
 
-    def wife(self, m: int) -> int:
-        return self.wives[m - 1]
-
     def husbands(self) -> tuple[int, ...]:
         out = [0] * self.n
         for m, w in enumerate(self.wives, start=1):
@@ -151,9 +148,6 @@ class Matching:
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((m, w) for m, w in enumerate(self.wives, start=1))
-
-    def transposed(self) -> "Matching":
-        return Matching(self.husbands())
 
 
 # -- textual formats ---------------------------------------------------

@@ -62,26 +62,20 @@ def count_downsets(poset: Poset) -> int:
     return count((1 << poset.size) - 1)
 
 
-def enumerate_downsets(
-    poset: Poset, limit: int | None = None
-) -> Iterator[frozenset[int]]:
-    """Yield the downsets one at a time, at most `limit` of them if given.
+def enumerate_downsets(poset: Poset) -> Iterator[frozenset[int]]:
+    """Yield the downsets one at a time.
 
     Walks the split of `count_downsets` depth first, the downsets without
     x before those with x, so each downset costs at most one split per
-    element and nothing is counted first.  A negative `limit` is a
-    `ValueError`.
+    element and nothing is counted first: `itertools.islice` takes a
+    prefix for the cost of that prefix.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
     above = poset.above
     below = poset.below
-    left = -1 if limit is None else limit
     stack = [((1 << poset.size) - 1, 0)]
-    while stack and left:
+    while stack:
         live, chosen = stack.pop()
         if not live:
-            left -= 1
             yield frozenset(_bits(chosen))
             continue
         x = live & -live
@@ -112,11 +106,9 @@ def count_stable_matchings(inst: Instance) -> int:
     return count_downsets(rotation_poset(inst))
 
 
-def enumerate_stable_matchings(
-    inst: Instance, limit: int | None = None
-) -> Iterator[Matching]:
+def enumerate_stable_matchings(inst: Instance) -> Iterator[Matching]:
     rposet = rotation_poset(inst)
-    for downset in enumerate_downsets(rposet, limit):
+    for downset in enumerate_downsets(rposet):
         yield matching_from_downset(rposet, downset)
 
 

@@ -15,8 +15,10 @@ def propose_optimal(inst: Instance, side: Side = Side.MAN) -> Matching:
     """
     if side is Side.MAN:
         prefs, rank = inst.men_prefs, inst._women_rank
-    else:
+    elif side is Side.WOMAN:
         prefs, rank = inst.women_prefs, inst._men_rank
+    else:
+        raise ValueError(f"side must be Side.MAN or Side.WOMAN, got {side!r}")
     n = inst.n
     next_choice = [0] * (n + 1)  # next position on each proposer's list to try
     held = [0] * (n + 1)  # held[r] = proposer receiver r holds, 0 if free
@@ -46,7 +48,7 @@ def blocking_pairs(inst: Instance, matching: Matching) -> list[tuple[int, int]]:
     husbands = matching.husbands()
     out = []
     for m in range(1, inst.n + 1):
-        spouse_rank = inst.man_rank(m, matching.wife(m))
+        spouse_rank = inst.man_rank(m, matching.wives[m - 1])
         for w in inst.men_prefs[m - 1]:
             if inst.man_rank(m, w) >= spouse_rank:
                 break

@@ -126,9 +126,6 @@ class Value:
     def __mul__(self, other: "Value") -> "Value":
         return _dot((self,), (other,))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_rational(self) -> bool:
         return all(not a for _, a, _ in self.terms)
 
@@ -348,6 +345,8 @@ class _VectorSpec:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be positive")
+        if self.n < 1:
+            raise ValueError("n must be positive")
         for name in ("men_pos", "men_pref", "women_pos", "women_pref"):
             vecs = tuple(tuple(map(self._coordinate, v)) for v in getattr(self, name))
             if len(vecs) != self.n or any(len(v) != self.k for v in vecs):
@@ -568,7 +567,10 @@ def parse_geometric(text: str):
 
     if spec_type._coordinate is Fraction:
         blocks = [fractions(b, key) for b, key in zip(blocks, keys)]
-    return spec_type(k, n, *blocks)
+    try:
+        return spec_type(k, n, *blocks)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def format_geometric(spec) -> str:

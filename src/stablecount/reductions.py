@@ -35,15 +35,14 @@ from .rotations import _bits, rotation_poset
 class CyclePair:
     """Edge labelling of a bipartite graph as two permutations.
 
-    ``edges[x-1]`` is the edge with label x (labels follow the
-    lexicographic (left, right) order).  ``rho`` cycles the labels around
+    Label x names the edge ``graph.edges[x-1]``, so labels 1..n follow the
+    lexicographic (left, right) order.  ``rho`` cycles the labels around
     each left vertex, ``sigma`` around each right vertex; cycles are
     listed in vertex order, each starting at its smallest label, so cycle
     i belongs to vertex i + 1 (every vertex has an edge).
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     rho: tuple[int, ...]
     sigma: tuple[int, ...]
     rho_cycles: tuple[tuple[int, ...], ...]
@@ -63,7 +62,7 @@ def edge_cycles(graph: BipartiteGraph) -> CyclePair:
             for x, y in zip(cycle, cycle[1:] + cycle[:1]):
                 succ[x - 1] = y
     return CyclePair(
-        n, graph.edges, tuple(rho), tuple(sigma),
+        n, tuple(rho), tuple(sigma),
         tuple(map(tuple, rho_cycles)), tuple(map(tuple, sigma_cycles)),
     )
 

@@ -55,19 +55,6 @@ class Rotation:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def men(self) -> tuple[int, ...]:
-        return tuple(m for m, _ in self.pairs)
-
-    def women(self) -> tuple[int, ...]:
-        return tuple(w for _, w in self.pairs)
-
-    def next_woman(self, m: int) -> int:
-        """The woman m moves to when this rotation is applied."""
-        for mi, _, nw in self.steps:
-            if mi == m:
-                return nw
-        raise ValueError(f"man {m} not in rotation")
-
 
 def _suitor(
     inst: Instance, wives: Sequence[int], husbands: Sequence[int], best: Sequence[int],

@@ -271,7 +271,7 @@ def lattice_meet_join(
     max_wives = []
     min_wives = []
     for m in range(1, inst.n + 1):
-        wa, wb = a.wife(m), b.wife(m)
+        wa, wb = a.wives[m - 1], b.wives[m - 1]
         if inst.man_rank(m, wa) <= inst.man_rank(m, wb):
             min_wives.append(wa)
             max_wives.append(wb)
@@ -289,8 +289,8 @@ def truncated_lists(inst: Instance):
     wopt = propose_optimal(inst, Side.WOMAN)
     men = []
     for m in range(1, inst.n + 1):
-        lo = inst.man_rank(m, mopt.wife(m))
-        hi = inst.man_rank(m, wopt.wife(m))
+        lo = inst.man_rank(m, mopt.wives[m - 1])
+        hi = inst.man_rank(m, wopt.wives[m - 1])
         men.append(inst.men_prefs[m - 1][lo - 1 : hi])
     women = []
     m_husb, w_husb = mopt.husbands(), wopt.husbands()
@@ -323,11 +323,10 @@ def explicitly_precedes(inst: Instance, first: Rotation, second: Rotation) -> bo
     elimination order."""
     if first == second:
         return False
-    second_men = set(second.men())
+    moves = {m: nw for m, _, nw in second.steps}
     for m, w in eliminated_pairs(inst, first):
-        if m in second_men:
-            if inst.man_rank(m, second.next_woman(m)) > inst.man_rank(m, w):
-                return True
+        if m in moves and inst.man_rank(m, moves[m]) > inst.man_rank(m, w):
+            return True
     return False
 
 
@@ -392,8 +391,7 @@ def pairwise_rotation_poset(inst: Instance, man_order=None):
         else:
             break
         rot = _restarting_trace(inst, wives, husbands, best, m)
-        for m, _ in rot.pairs:
-            nw = rot.next_woman(m)
+        for m, _, nw in rot.steps:
             wives[m - 1] = nw
             husbands[nw - 1] = m
         rotations.append(rot)
@@ -437,7 +435,7 @@ def apply_rotation(matching: Matching, rotation: Rotation) -> Matching:
     wives = list(matching.wives)
     k = len(rotation.pairs)
     for idx, (m, w) in enumerate(rotation.pairs):
-        if matching.wife(m) != w:
+        if matching.wives[m - 1] != w:
             raise ValueError(f"rotation pair ({m},{w}) not matched")
         wives[m - 1] = rotation.pairs[(idx + 1) % k][1]
     return Matching(tuple(wives))
@@ -479,7 +477,7 @@ def check_structure(inst: Instance, rng: random.Random, pair_budget: int = 50):
             assert pair not in seen, f"pair {pair} eliminated twice"
             seen.add(pair)
 
-    sample = list(enumerate_stable_matchings(inst, limit=12))
+    sample = list(itertools.islice(enumerate_stable_matchings(inst), 12))
     pairs = [(a, b) for i, a in enumerate(sample) for b in sample[i + 1:]]
     if len(pairs) > pair_budget:
         pairs = rng.sample(pairs, pair_budget)

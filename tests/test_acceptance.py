@@ -138,10 +138,9 @@ def test_5_one_attribute_counter():
         people = set()
         for rot in rots:
             assert len(rot) == 2
-            for m in rot.men():
+            for m, w in rot.pairs:
                 assert ("m", m) not in people
                 people.add(("m", m))
-            for w in rot.women():
                 assert ("w", w) not in people
                 people.add(("w", w))
         rposet = rotation_poset(inst)

@@ -354,7 +354,21 @@ def test_verify_directory(tmp_path, capsys):
     for i in range(2):
         (tmp_path / f"g{i}.bis").write_text(SINGLE_EDGE_BIS)
     assert run(["verify", "--model", "lists", str(tmp_path)]) == 0
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    report = VERIFY_PASSED.format(count=3)
+    assert captured.out == f"== {tmp_path}/g0.bis\n{report}== {tmp_path}/g1.bis\n{report}"
+    assert captured.err == ""
+
+
+def test_verify_directory_stops_at_a_malformed_graph(tmp_path, capsys):
+    # the good graph's report prints before the error; the .txt file is skipped
+    (tmp_path / "a.bis").write_text(SINGLE_EDGE_BIS)
+    (tmp_path / "b.bis").write_text("bis 2 1\ne 9 1\n")
+    (tmp_path / "c.txt").write_text(SINGLE_EDGE_BIS)
+    assert run(["verify", "--model", "lists", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"== {tmp_path}/a.bis\n" + VERIFY_PASSED.format(count=3)
+    assert captured.err == "error: edge (9,1) out of range\n"
 
 
 def test_missing_file_is_an_error(capsys):

@@ -22,9 +22,9 @@ def definitional_blocking(inst, matching):
     husbands = matching.husbands()
     for m in range(1, inst.n + 1):
         for w in range(1, inst.n + 1):
-            if matching.wife(m) == w:
+            if matching.wives[m - 1] == w:
                 continue
-            man_wants = inst.man_rank(m, w) < inst.man_rank(m, matching.wife(m))
+            man_wants = inst.man_rank(m, w) < inst.man_rank(m, matching.wives[m - 1])
             woman_wants = inst.woman_rank(w, m) < inst.woman_rank(w, husbands[w - 1])
             if man_wants and woman_wants:
                 out.append((m, w))
@@ -43,12 +43,19 @@ def test_two_by_two_optima_differ():
     assert propose_optimal(TWO_STABLE, Side.WOMAN) == Matching((2, 1))
 
 
+def test_propose_optimal_rejects_a_side_that_is_not_a_side():
+    import pytest
+
+    with pytest.raises(ValueError, match="got 'm'"):
+        propose_optimal(TWO_STABLE, "m")
+
+
 def test_woman_side_equals_transposed_man_side():
     rng = random.Random(11)
     corpus = [random_instance(rng, n) for n in range(1, 8) for _ in range(20)]
     corpus += [random_instance(rng, 60) for _ in range(4)]
     for inst in corpus:
-        old_route = propose_optimal(inst.transposed(), Side.MAN).transposed()
+        old_route = Matching(propose_optimal(inst.transposed(), Side.MAN).husbands())
         assert propose_optimal(inst, Side.WOMAN) == old_route
 
 
@@ -84,8 +91,8 @@ def test_optima_are_extreme():
         wopt = propose_optimal(inst, Side.WOMAN)
         for s in brute_force_stable_matchings(inst):
             for m in range(1, inst.n + 1):
-                assert inst.man_rank(m, mopt.wife(m)) <= inst.man_rank(m, s.wife(m))
-                assert inst.man_rank(m, s.wife(m)) <= inst.man_rank(m, wopt.wife(m))
+                lo, mid, hi = mopt.wives[m - 1], s.wives[m - 1], wopt.wives[m - 1]
+                assert inst.man_rank(m, lo) <= inst.man_rank(m, mid) <= inst.man_rank(m, hi)
 
 
 def test_meet_join_idempotent():

@@ -55,29 +55,29 @@ def test_value_rational_arithmetic():
     a = Value.rational(F(1, 3))
     b = Value.rational(F(2, 3))
     assert (a + b).as_fraction() == 1
-    assert (a - a).is_zero()
+    assert not (a - a).terms
     assert (a * b).as_fraction() == F(2, 9)
 
 
 def test_trig_quarter_turn_folds():
     assert Value.trig("cos", F(0)).as_fraction() == 1
-    assert Value.trig("cos", F(1, 4)).is_zero()
+    assert not Value.trig("cos", F(1, 4)).terms
     assert Value.trig("cos", F(1, 2)).as_fraction() == -1
-    assert Value.trig("sin", F(0)).is_zero()
+    assert not Value.trig("sin", F(0)).terms
     assert Value.trig("sin", F(1, 4)).as_fraction() == 1
     assert Value.trig("sin", F(3, 4)).as_fraction() == -1
 
 
 def test_trig_reflection_identities():
     q = F(1, 7)
-    assert (Value.trig("cos", 1 - q) - Value.trig("cos", q)).is_zero()
-    assert (Value.trig("sin", 1 - q) + Value.trig("sin", q)).is_zero()
+    assert not (Value.trig("cos", 1 - q) - Value.trig("cos", q)).terms
+    assert not (Value.trig("sin", 1 - q) + Value.trig("sin", q)).terms
 
 
 def test_unit_circle_norm_is_symbolically_one():
     for q in (F(1, 7), F(3, 11), F(5, 8), F(123, 997)):
         x, y = Value.trig("cos", q), Value.trig("sin", q)
-        assert (x * x + y * y - Value.ONE).is_zero()
+        assert not (x * x + y * y - Value.ONE).terms
 
 
 def test_tilted_sphere_point_norm_is_symbolically_one():
@@ -85,7 +85,7 @@ def test_tilted_sphere_point_norm_is_symbolically_one():
     x = Value.trig("sin", phi) * Value.trig("cos", q)
     y = Value.trig("sin", phi) * Value.trig("sin", q)
     z = Value.trig("cos", phi)
-    assert (x * x + y * y + z * z - Value.ONE).is_zero()
+    assert not (x * x + y * y + z * z - Value.ONE).terms
 
 
 def test_compare_values_signs():
@@ -297,7 +297,7 @@ def test_parse_value_reads_products_and_sin_as_sums():
     want = -Value.trig("sin", F(1, 100)) * Value.trig("sin", t)
     assert parse_value("-1*sin(7/1476)*sin(1/100)") == want
     assert parse_value("sin(1/8)") == parse_value("cos(1/8)")
-    assert parse_value("cos(1/3)+1/2").is_zero()
+    assert not parse_value("cos(1/3)+1/2").terms
 
 
 def test_dot_model_single_attribute_monotone():
@@ -571,10 +571,9 @@ def test_1attribute_rotations_are_disjoint_transpositions_in_a_chain():
         people: set[tuple[str, int]] = set()
         for rot in rots:
             assert len(rot) == 2
-            for m in rot.men():
+            for m, w in rot.pairs:
                 assert ("m", m) not in people
                 people.add(("m", m))
-            for w in rot.women():
                 assert ("w", w) not in people
                 people.add(("w", w))
         rposet = rotation_poset(inst)
@@ -623,6 +622,9 @@ def test_parse_geometric_errors():
         parse_geometric("model dot 1 1\nmpos 1: 1\n")  # missing rows
     with pytest.raises(ParseError):
         parse_geometric("model 1d 2 1\n")  # 1d must have k = 1
+    zero = "model 1d 1 1\nmpos 1: 1\nmpref 1: 0\nwpos 1: 1\nwpref 1: 1\n"
+    with pytest.raises(ParseError, match="preference scalar must be nonzero"):
+        parse_geometric(zero)  # the spec type's own check
 
 
 def test_parse_geometric_huge_n_is_cheap():
@@ -705,12 +707,16 @@ def test_vector_spec_shape_errors_name_the_block(spec_type):
             spec_type(2, 2, wide, wide, wide, wide)
 
 
-@pytest.mark.parametrize("spec_type", [AttributeSpec, EuclideanSpec])
-@pytest.mark.parametrize("k", [0, -1])
-def test_vector_spec_rejects_nonpositive_k(spec_type, k):
+@pytest.mark.parametrize("spec_type", [AttributeSpec, EuclideanSpec, OneAttributeSpec])
+@pytest.mark.parametrize("value", [0, -1])
+def test_vector_spec_rejects_nonpositive_k(spec_type, value):
+    # `value` is tried as k and then as n; the 1d model refuses any k but 1
     empty = ((),)
-    with pytest.raises(ValueError, match="k must be positive"):
-        spec_type(k, 1, empty, empty, empty, empty)
+    k_message = "the 1d model has k = 1" if spec_type is OneAttributeSpec else "k must be positive"
+    with pytest.raises(ValueError, match=k_message):
+        spec_type(value, 1, empty, empty, empty, empty)
+    with pytest.raises(ValueError, match="n must be positive"):
+        spec_type(1, value, (), (), (), ())
 
 
 def test_attribute_spec_makes_rational_coordinates_values():

@@ -129,7 +129,7 @@ def test_fixed_graph_rotation_tally():
     rots = find_all_rotations(gen_partial_lists(GRAPH_3X4))[0]
     cp = edge_cycles(GRAPH_3X4)
     n = cp.n
-    rho_count = sum(1 for r in rots if all(m <= 2 * n for m in r.men()))
+    rho_count = sum(1 for r in rots if all(m <= 2 * n for m, _ in r.pairs))
     assert rho_count == 3
     assert len(rots) - rho_count == 4
 
@@ -141,10 +141,10 @@ def test_rho_rotation_eliminates_only_own_b_partner():
     inst = gen_partial_lists(g)
     rots = find_all_rotations(inst)[0]
     for rot in rots:
-        if not all(m <= 2 * n for m in rot.men()):
+        if not all(m <= 2 * n for m, _ in rot.pairs):
             continue  # sigma-shaped
         elim = eliminated_pairs(inst, rot)
-        for x in rot.men():
+        for x, _ in rot.pairs:
             if x > n:  # man B_x holds woman b_x inside the rotation
                 pairs_for_b = [(m, w) for m, w in elim if w == n + (x - n)]
                 assert pairs_for_b == [(x, n + (x - n))]
@@ -157,11 +157,11 @@ def test_precedence_structure_of_generated_instances():
         n = cp.n
         inst = gen_partial_lists(g)
         rots = find_all_rotations(inst)[0]
-        rho_rots = [r for r in rots if all(m <= 2 * n for m in r.men())]
+        rho_rots = [r for r in rots if all(m <= 2 * n for m, _ in r.pairs)]
         sigma_rots = [r for r in rots if r not in rho_rots]
         for r in rho_rots:
             for s in sigma_rots:
-                shares_man = bool(set(r.men()) & set(s.men()))
+                shares_man = bool({m for m, _ in r.pairs} & {m for m, _ in s.pairs})
                 assert explicitly_precedes(inst, r, s) == shares_man
         for r in rots:
             for rho in rho_rots:

@@ -95,12 +95,6 @@ def test_rotation_rejects_singleton():
         Rotation(((1, 1),))
 
 
-def test_next_woman_cycles():
-    r = Rotation(((1, 1), (2, 2), (3, 3)))
-    assert r.next_woman(1) == 2
-    assert r.next_woman(3) == 1
-
-
 def test_suitor_absent_at_woman_optimal():
     rng = random.Random(3)
     for _ in range(30):
@@ -132,9 +126,9 @@ def test_apply_preserves_stability_and_moves_ranks():
         out = apply_rotation(matching, rot)
         assert blocking_pairs(inst, out) == []
         for man_, w in rot.pairs:
-            assert inst.man_rank(man_, out.wife(man_)) > inst.man_rank(man_, w)
+            assert inst.man_rank(man_, out.wives[man_ - 1]) > inst.man_rank(man_, w)
         new, old = out.husbands(), matching.husbands()
-        for w in rot.women():
+        for _, w in rot.pairs:
             assert inst.woman_rank(w, new[w - 1]) < inst.woman_rank(w, old[w - 1])
 
 
@@ -151,9 +145,9 @@ def test_exposed_rotation_suitor_links():
             continue
         seen += 1
         rot = exposed_rotation_from(inst, matching, start)
-        for m, _ in rot.pairs:
-            assert matching.wife(m) == dict(rot.pairs)[m]
-            assert suitor(inst, matching, m) == rot.next_woman(m)
+        for m, w, nw in rot.steps:
+            assert matching.wives[m - 1] == w
+            assert suitor(inst, matching, m) == nw
 
 
 def test_unique_stable_matching_has_no_rotations():
@@ -206,7 +200,7 @@ def test_eliminated_adjacent_interval():
     rots = find_all_rotations(inst)[0]
     assert len(rots) == 1
     elim = eliminated_pairs(inst, rots[0])
-    for w in rots[0].women():
+    for _, w in rots[0].pairs:
         pairs_for_w = [(m, x) for m, x in elim if x == w]
         assert len(pairs_for_w) == 1
 
@@ -329,7 +323,7 @@ def test_truncated_contains_all_stable_partners():
         men, women = truncated_lists(inst)
         for s in brute_force_stable_matchings(inst):
             for m in range(1, inst.n + 1):
-                assert s.wife(m) in men[m - 1]
+                assert s.wives[m - 1] in men[m - 1]
             for w, m in enumerate(s.husbands(), start=1):
                 assert m in women[w - 1]
 
