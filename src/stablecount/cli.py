@@ -11,7 +11,6 @@ ties, memo budget), 2 usage error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import os
 import sys
@@ -150,31 +149,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _verify_one(path: str, model: str) -> tuple[str, str, bool]:
-    report = verify_reduction(parse_bipartite(_read(path)), model)
-    return path, str(report), report.all_ok
-
-
 def _cmd_verify(args) -> int:
-    model = args.model
-    if os.path.isdir(args.file):
+    is_dir = os.path.isdir(args.file)
+    paths = [args.file]
+    if is_dir:
         paths = sorted(
             os.path.join(args.file, name)
             for name in os.listdir(args.file)
             if name.endswith(".bis")
         )
-        all_ok = True
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            for path, text, ok in pool.map(
-                _verify_one, paths, [model] * len(paths)
-            ):
-                print(f"== {path}")
-                print(text)
-                all_ok = all_ok and ok
-        return 0 if all_ok else 3
-    _, text, ok = _verify_one(args.file, model)
-    print(text)
-    return 0 if ok else 3
+    all_ok = True
+    for path in paths:
+        report = verify_reduction(parse_bipartite(_read(path)), args.model)
+        if is_dir:
+            print(f"== {path}")
+        print(report)
+        all_ok = all_ok and report.all_ok
+    return 0 if all_ok else 3
 
 
 def _limit(text: str) -> int:

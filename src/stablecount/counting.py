@@ -162,7 +162,7 @@ def poset_from_bipartite(graph: BipartiteGraph) -> Poset:
     below = [0] * graph.size
     for u, v in graph.edges:
         below[graph.n1 + v - 1] |= 1 << (u - 1)
-    return Poset.from_below(tuple(below))
+    return Poset(tuple(below))
 
 
 def count_independent_sets(graph: BipartiteGraph) -> int:

@@ -348,7 +348,10 @@ class _VectorSpec:
         if self.n < 1:
             raise ValueError("n must be positive")
         for name in ("men_pos", "men_pref", "women_pos", "women_pref"):
-            vecs = tuple(tuple(map(self._coordinate, v)) for v in getattr(self, name))
+            try:
+                vecs = tuple(tuple(map(self._coordinate, v)) for v in getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
             if len(vecs) != self.n or any(len(v) != self.k for v in vecs):
                 raise ValueError(f"{name}: expected {self.n} vectors of {self.k} coordinates")
             object.__setattr__(self, name, vecs)
@@ -364,11 +367,18 @@ class AttributeSpec(_VectorSpec):
         return x if isinstance(x, Value) else Value.rational(x)
 
 
+def _rational(spec: _VectorSpec, x) -> Fraction:
+    # a rational model's coordinate: a rational Value becomes its Fraction
+    if isinstance(x, Value) and not x.is_rational():
+        raise ValueError(f"the {spec.model} model needs rational coordinates")
+    return x.as_fraction() if isinstance(x, Value) else Fraction(x)
+
+
 class EuclideanSpec(_VectorSpec):
     """Euclidean model: positions and ideal points in R^k, all rational."""
 
     model = "euclid"
-    _coordinate = Fraction
+    _coordinate = _rational
 
 
 class OneAttributeSpec(_VectorSpec):
@@ -376,7 +386,7 @@ class OneAttributeSpec(_VectorSpec):
     preference nonzero."""
 
     model = "1d"
-    _coordinate = Fraction
+    _coordinate = _rational
 
     def __post_init__(self) -> None:
         if self.k != 1:
@@ -515,7 +525,7 @@ def parse_geometric(text: str):
     parts = header.split()
     if len(parts) != 4 or parts[0] != "model" or parts[1] not in _SPECS:
         raise ParseError("expected header 'model dot|euclid|1d k n'", lineno)
-    model, spec_type = parts[1], _SPECS[parts[1]]
+    spec_type = _SPECS[parts[1]]
     try:
         k, n = int(parts[2]), int(parts[3])
     except ValueError:
@@ -558,15 +568,6 @@ def parse_geometric(text: str):
         return tuple(given[i] for i in range(1, n + 1))
 
     blocks = [rows(key) for key in keys]
-
-    def fractions(vecs, label):
-        try:
-            return tuple(tuple(v.as_fraction() for v in vec) for vec in vecs)
-        except ValueError:
-            raise ParseError(f"{label}: the {model} model needs rational coordinates") from None
-
-    if spec_type._coordinate is Fraction:
-        blocks = [fractions(b, key) for b, key in zip(blocks, keys)]
     try:
         return spec_type(k, n, *blocks)
     except ValueError as exc:

@@ -203,30 +203,32 @@ def _bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset on elements 0..size-1.
+    """A finite poset on elements 0..size-1, given by its strict down-sets.
 
-    ``above[x]`` / ``below[x]`` are bitmasks of the elements strictly
-    greater / smaller than x (transitively closed).
+    ``below[x]`` is the bitmask of the elements strictly smaller than x;
+    a mask holding x, an element past size-1, or some y but not all of
+    ``below[y]`` is a `ValueError`.  ``size`` and ``above[x]``, the mask of
+    the elements strictly greater than x, are derived.
     """
 
-    size: int
-    above: tuple[int, ...]
     below: tuple[int, ...]
+    size: int = field(init=False, repr=False, compare=False)
+    above: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for x in range(self.size):
-            if self.above[x] >> x & 1 or self.below[x] >> x & 1:
-                raise ValueError("order relation must be irreflexive")
-
-    @classmethod
-    def from_below(cls, below: tuple[int, ...], **fields):
-        """The poset with these strict down-sets; `fields` fill the
-        fields a subclass adds."""
+        below = self.below
         above = [0] * len(below)
-        for y, mask in enumerate(below):
-            for x in _bits(mask):
-                above[x] |= 1 << y
-        return cls(len(below), tuple(above), tuple(below), **fields)
+        for x, mask in enumerate(below):
+            if mask >> len(below):
+                raise ValueError(f"below[{x}] holds an element outside 0..{len(below) - 1}")
+            if mask >> x & 1:
+                raise ValueError(f"below[{x}] holds {x} itself")
+            for y in _bits(mask):
+                if below[y] & ~mask:
+                    raise ValueError(f"below[{x}] holds {y} but not all of below[{y}]")
+                above[y] |= 1 << x
+        object.__setattr__(self, "size", len(below))
+        object.__setattr__(self, "above", tuple(above))
 
     def __len__(self) -> int:
         return self.size
@@ -287,9 +289,7 @@ def rotation_poset(
             labels = label[m - 1]
             if r <= len(labels):
                 labels[r - 1] = bit
-    return RotationPoset.from_below(
-        tuple(below), rotations=tuple(rots), man_optimal=mopt, woman_optimal=wopt
-    )
+    return RotationPoset(tuple(below), tuple(rots), mopt, wopt)
 
 
 def hasse_diagram(poset: Poset) -> list[tuple[int, int]]:

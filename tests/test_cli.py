@@ -444,8 +444,9 @@ def test_tie_detection_exits_one(write, capsys):
     assert captured.err == "error: man 1: candidates 1 and 2 score exactly alike\n"
 
 
-def test_cli_imports_without_mpmath():
-    code = "import sys, stablecount.cli; print('mpmath' in sys.modules)"
+@pytest.mark.parametrize("module", ["mpmath", "concurrent.futures", "multiprocessing"])
+def test_cli_imports_without(module):
+    code = f"import sys, stablecount.cli; print({module!r} in sys.modules)"
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

@@ -39,11 +39,11 @@ from stablecount import gale_shapley
 
 def chain(k):
     below = tuple((1 << i) - 1 for i in range(k))
-    return Poset.from_below(below)
+    return Poset(below)
 
 
 def antichain(k):
-    return Poset.from_below((0,) * k)
+    return Poset((0,) * k)
 
 
 def random_poset(rng, k):
@@ -52,7 +52,7 @@ def random_poset(rng, k):
         for i in range(j):
             if rng.random() < 0.4:
                 below[j] |= 1 << i | below[i]  # keep transitively closed
-    return Poset.from_below(tuple(below))
+    return Poset(tuple(below))
 
 
 def relabelled(poset, perm):
@@ -60,7 +60,7 @@ def relabelled(poset, perm):
     below = [0] * poset.size
     for x in range(poset.size):
         below[perm[x]] = sum(1 << perm[y] for y in range(poset.size) if poset.below[x] >> y & 1)
-    return Poset.from_below(tuple(below))
+    return Poset(tuple(below))
 
 
 def oracle_downsets(poset):
@@ -77,7 +77,28 @@ def oracle_downsets(poset):
 
 
 def test_count_empty_poset():
-    assert count_downsets(Poset(0, (), ())) == 1
+    assert count_downsets(Poset(())) == 1
+
+
+def test_poset_refuses_masks_that_are_not_transitively_closed():
+    # 0 < 1 < 2 without 0 < 2 was once counted as 5 downsets, with {1, 2}
+    # among them; the chain 0 < 1 < 2 has 4, and {1, 2} is not one
+    with pytest.raises(ValueError) as err:
+        Poset((0, 0b001, 0b010))
+    assert str(err.value) == "below[2] holds 1 but not all of below[1]"
+    assert len(oracle_downsets(chain(3))) == count_downsets(chain(3)) == 4
+    assert frozenset({1, 2}) not in oracle_downsets(chain(3))
+    with pytest.raises(ValueError, match=r"not all of below\[1\]"):
+        Poset((0b10, 0b01))  # a cycle: 0 < 1 < 0
+
+
+def test_poset_refuses_an_element_outside_its_range_or_below_itself():
+    with pytest.raises(ValueError) as err:
+        Poset((0b100,))  # once an IndexError
+    assert str(err.value) == "below[0] holds an element outside 0..0"
+    with pytest.raises(ValueError) as err:
+        Poset((0b1,))
+    assert str(err.value) == "below[0] holds 0 itself"
 
 
 def test_count_chain_and_antichain():
@@ -92,7 +113,7 @@ def over_budget_poset() -> Poset:
     below = [0] * 40 + [
         sum(1 << u for u in range(40) if rng.random() < 0.1) for _ in range(40)
     ]
-    return Poset.from_below(tuple(below))
+    return Poset(tuple(below))
 
 
 def test_count_rejects_oversized():

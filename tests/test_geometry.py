@@ -611,8 +611,18 @@ def test_parse_geometric_euclid_and_1d():
 
 def test_parse_geometric_rejects_trig_in_euclid():
     text = "model euclid 1 1\nmpos 1: cos(1/8)\nmpref 1: 1\nwpos 1: 2\nwpref 1: 3\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_geometric(text)
+    assert str(err.value) == "men_pos: the euclid model needs rational coordinates"
+
+
+def test_rational_specs_refuse_trig_coordinates():
+    trig = Value.trig("cos", F(1, 8))
+    blocks = dict(men_pos=((1,),), men_pref=((2,),), women_pos=((3,),), women_pref=((trig,),))
+    for spec_type in (EuclideanSpec, OneAttributeSpec):
+        with pytest.raises(ValueError) as err:
+            spec_type(1, 1, **blocks)
+        assert str(err.value) == f"women_pref: the {spec_type.model} model needs rational coordinates"
 
 
 def test_parse_geometric_errors():
@@ -727,17 +737,29 @@ def test_attribute_spec_makes_rational_coordinates_values():
 
 
 def test_attribute_spec_of_ints_equals_its_value_twin():
+    # and a rational spec of rational Values equals its Fraction twin
     ints = dict(
         men_pos=((1, 0), (0, 1)),
         men_pref=((2, F(1, 3)), (-1, 4)),
         women_pos=((3, 1), (1, 3)),
         women_pref=((1, 2), (F(-5, 2), 1)),
     )
-    values = {
-        name: tuple(tuple(Value.rational(x) for x in vec) for vec in block)
-        for name, block in ints.items()
-    }
-    spec = AttributeSpec(2, 2, **ints)
-    twin = AttributeSpec(2, 2, **values)
-    assert spec == twin
-    assert instance_from_dot(spec) == instance_from_dot(twin)
+    fractions = dict(
+        men_pos=((F(1, 2),), (F(3),)),
+        men_pref=((F(1),), (F(-2),)),
+        women_pos=((F(0),), (F(7, 3),)),
+        women_pref=((F(-1, 4),), (F(5),)),
+    )
+    for spec_type, build, k, blocks in (
+        (AttributeSpec, instance_from_dot, 2, ints),
+        (EuclideanSpec, instance_from_euclidean, 1, fractions),
+        (OneAttributeSpec, instance_from_1attribute, 1, fractions),
+    ):
+        values = {
+            name: tuple(tuple(Value.rational(x) for x in vec) for vec in block)
+            for name, block in blocks.items()
+        }
+        spec = spec_type(k, 2, **blocks)
+        twin = spec_type(k, 2, **values)
+        assert spec == twin
+        assert build(spec) == build(twin)

@@ -392,7 +392,7 @@ def test_verifier_fails_wrong_order(monkeypatch):
     # the right rotations with every relation between them dropped
     def unordered(inst):
         rposet = rotation_poset(inst)
-        return RotationPoset.from_below(
+        return RotationPoset(
             (0,) * rposet.size,
             rotations=rposet.rotations,
             man_optimal=rposet.man_optimal,
@@ -408,7 +408,7 @@ def test_verifier_fails_wrong_order(monkeypatch):
 def test_verifier_fails_missing_rotation(monkeypatch):
     def short(inst):
         rposet = rotation_poset(inst)
-        return RotationPoset.from_below(
+        return RotationPoset(
             rposet.below[:-1],
             rotations=rposet.rotations[:-1],
             man_optimal=rposet.man_optimal,
@@ -454,7 +454,7 @@ def test_verifier_counts_a_second_poset_only_when_they_differ(monkeypatch):
 
     def unordered(inst):  # as in test_verifier_fails_wrong_order
         rposet = rotation_poset(inst)
-        return RotationPoset.from_below(
+        return RotationPoset(
             (0,) * rposet.size,
             rotations=rposet.rotations,
             man_optimal=rposet.man_optimal,
