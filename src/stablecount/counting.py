@@ -21,7 +21,13 @@ MEMO_BUDGET = 2**20  # memo entries a downset count may hold
 
 
 class SizeLimitError(ValueError):
-    """Input exceeds the size bound of an exact algorithm."""
+    """Input exceeds the size bound of an exact algorithm.  ``budget`` is
+    the bound that was used up and ``size`` the size of the input that used
+    it up, when given."""
+
+    def __init__(self, message: str, budget=None, size=None) -> None:
+        super().__init__(message)
+        self.budget, self.size = budget, size
 
 
 def count_downsets(poset: Poset) -> int:
@@ -55,7 +61,9 @@ def count_downsets(poset: Poset) -> int:
             if len(memo) > MEMO_BUDGET:
                 raise SizeLimitError(
                     f"size bound exceeded: memo budget of {MEMO_BUDGET} "
-                    f"entries used up on a poset of {poset.size} elements"
+                    f"entries used up on a poset of {poset.size} elements",
+                    MEMO_BUDGET,
+                    poset.size,
                 )
         return total
 

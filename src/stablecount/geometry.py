@@ -18,19 +18,22 @@ sin(2*pi*q) for rational q, closed under products and sums, kept as sums
 of single cosines (see Value).  Comparisons are certified, and both
 models compare integers after clearing denominators once.  Euclidean
 squared distances are taken with every coordinate scaled by the lcm of
-all coordinate denominators.  A dot product is summed over integer
-coefficients, one denominator per vector, and its score is compared
-through integer enclosures of value * 2**bits.  Each dot-product score
-is built once and enclosed once to 128 bits after the binary point; only
-the runs of overlapping enclosures are sorted by exact pairwise
-comparison, which doubles the bits up to the fixed cap MAX_BITS (4096
-bits).  If two scores cannot be separated the construction refuses to
-guess and raises TieDetected.
+all coordinate denominators.  Dot-product scores are compared through
+integer enclosures of value * 2**bits.  Each coordinate is enclosed once
+to 128 bits after the binary point, and each score's enclosure is the
+integer dot product of the coordinates' midpoints with a radius that
+covers their errors (see instance_from_dot).  Only inside the runs of
+overlapping score enclosures is a score built as an exact Value, summed
+over integer coefficients with one denominator per vector, and sorted by
+exact pairwise comparison, which doubles the bits up to the fixed cap
+MAX_BITS (4096 bits).  If two scores cannot be separated the
+construction refuses to guess and raises TieDetected.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -173,7 +176,8 @@ def _scaled_dot(u: Scaled, v: Scaled) -> Value:
 
 
 def _dot(u: Sequence[Value], v: Sequence[Value]) -> Value:
-    # instance_from_dot scales each vector once and calls _scaled_dot
+    # instance_from_dot calls _scaled_dot only inside runs of overlapping
+    # enclosures
     return _scaled_dot(_scaled(u), _scaled(v))
 
 
@@ -234,7 +238,9 @@ def _value_interval(terms: tuple[Term, ...], bits: int) -> tuple[int, int]:
 
     Cosines are enclosed g guard bits deeper, 2**(g-1) > 4 sum(floor|c| + 1),
     g a multiple of 32 so that similar values share them.  Scaled by c and
-    rounded outward, each term is off by at most 2|c| + 2 units there.
+    rounded outward, each term is off by at most 2|c| + 2 units there.  The
+    rational part (a = 0) is c * 2**w itself, rounded outward, so a rational
+    multiple of 2**-bits is enclosed exactly, lo = hi.
     """
     weight = sum(abs(c.numerator) // c.denominator + 1 for c, _, _ in terms)
     g = 32 * (1 + (4 * weight).bit_length() // 32)
@@ -242,7 +248,7 @@ def _value_interval(terms: tuple[Term, ...], bits: int) -> tuple[int, int]:
     lo = hi = 0
     for c, a, b in terms:
         p, q = c.numerator, c.denominator
-        x_lo, x_hi = _cos_interval(a, b, w)
+        x_lo, x_hi = _cos_interval(a, b, w) if a else (1 << w, 1 << w)
         if p < 0:
             x_lo, x_hi = x_hi, x_lo
         lo += p * x_lo // q
@@ -409,13 +415,46 @@ def _induced(n: int, men_pos, men_pref, women_pos, women_pref, rank) -> Instance
     )
 
 
-def _sorted_by_score(pref: Scaled, positions: list[Scaled], person: str) -> tuple[int, ...]:
-    # candidates 1..len(positions) by descending dot product with pref
-    scores = [_scaled_dot(pref, pos) for pos in positions]
+def _enclosed(vec: tuple[Value, ...]) -> tuple:
+    # (vec, mid, mag, reach): each coordinate x enclosed as lo <= x * 2**b
+    # <= hi at b = DEFAULT_BITS, kept as the midpoint m = lo + hi, |m| and
+    # |m| + r for the radius r = hi - lo, so |x * 2**(b+1) - m| <= r
+    mid, mag, reach = [], [], []
+    for x in vec:
+        lo, hi = _value_interval(x.terms, DEFAULT_BITS)
+        mid.append(lo + hi)
+        mag.append(abs(lo + hi))
+        reach.append(mag[-1] + hi - lo)
+    return vec, mid, mag, reach
+
+
+def _sorted_by_score(pref, positions: list, person: str) -> tuple[int, ...]:
+    # candidates 1..len(positions) by descending dot product with pref,
+    # all of them made by _enclosed; see instance_from_dot for the radius
+    vec, p_mid, p_mag, p_reach = pref
+    boxes = []
+    for _, x_mid, x_mag, x_reach in positions:
+        centre = sum(map(operator.mul, p_mid, x_mid))
+        radius = sum(map(operator.mul, p_reach, x_reach)) - sum(map(operator.mul, p_mag, x_mag))
+        boxes.append((centre - radius, centre + radius))
+    # Going down by upper endpoint, a candidate whose upper endpoint lies
+    # below every lower endpoint seen so far is certified below all earlier
+    # candidates and starts a new run; only the runs of overlapping
+    # enclosures need exact comparisons.
+    runs: list[list[int]] = []
+    floor = None
+    for c in sorted(range(1, len(boxes) + 1), key=lambda c: boxes[c - 1][1], reverse=True):
+        lo, hi = boxes[c - 1]
+        if floor is None or hi < floor:
+            runs.append([])
+        runs[-1].append(c)
+        floor = lo if floor is None else min(floor, lo)
+
+    scores = {}
 
     def cmp(a: int, b: int) -> int:
         try:
-            c = compare_values(scores[a - 1], scores[b - 1])
+            c = compare_values(scores[a], scores[b])
         except TieDetected:
             what = f"could not be separated at {MAX_BITS} bits of precision"
             raise TieDetected(what, person, (a, b), MAX_BITS) from None
@@ -424,31 +463,41 @@ def _sorted_by_score(pref: Scaled, positions: list[Scaled], person: str) -> tupl
         return -c
 
     key = functools.cmp_to_key(cmp)
-    # Enclose each score once.  Going down by upper endpoint, a candidate
-    # whose upper endpoint lies below every lower endpoint seen so far is
-    # certified below all earlier candidates and starts a new run; only the
-    # runs of overlapping enclosures need exact comparisons.  Equal scores
-    # share a point, so an exact tie always falls inside one run.
-    boxes = [_value_interval(score.terms, DEFAULT_BITS) for score in scores]
-    runs: list[list[int]] = []
-    floor = None
-    for c in sorted(range(1, len(scores) + 1), key=lambda c: boxes[c - 1][1], reverse=True):
-        lo, hi = boxes[c - 1]
-        if floor is None or hi < floor:
-            runs.append([])
-        runs[-1].append(c)
-        floor = lo if floor is None else min(floor, lo)
-    return tuple(c for run in runs for c in sorted(run, key=key))
+    for run in runs:
+        if len(run) > 1:
+            u = _scaled(vec)
+            scores.update((c, _scaled_dot(u, _scaled(positions[c - 1][0]))) for c in run)
+            run.sort(key=key)
+    return tuple(c for run in runs for c in run)
 
 
 def instance_from_dot(spec: AttributeSpec) -> Instance:
     """Build the instance induced by a dot-product model.
 
+    Each coordinate x is enclosed once, lo <= x * 2**b <= hi at b =
+    DEFAULT_BITS, and kept as the midpoint m = lo + hi and the radius
+    r = hi - lo, so x * 2**(b+1) = m + e with |e| <= r.  For a preference
+    coordinate p and a position coordinate x,
+
+        p * x * 2**(2b+2) - m_p * m_x = m_p * e_x + m_x * e_p + e_p * e_x,
+
+    at most |m_p| r_x + |m_x| r_p + r_p r_x in absolute value, which is
+    (|m_p| + r_p)(|m_x| + r_x) - |m_p| |m_x|.  Summed over the k
+    coordinates, the interval of the integer dot product of the
+    midpoints, plus or minus the sum of these radii, contains
+    score * 2**(2b+2).  The scale is positive and the same for every
+    candidate, so two disjoint intervals order their scores.  When two
+    scores are equal, both intervals hold that value, so the sweep meets
+    the second with its upper endpoint at or above the first one's lower
+    endpoint, and neither it nor anything between them starts a new run.
+    Only inside a run of more than one candidate are scores built as exact
+    Values and sorted with compare_values.
+
     Raises TieDetected if any person's scores cannot be strictly ordered.
     """
     blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
-    scaled = ([_scaled(vec) for vec in block] for block in blocks)
-    return _induced(spec.n, *scaled, _sorted_by_score)
+    enclosed = ([_enclosed(vec) for vec in block] for block in blocks)
+    return _induced(spec.n, *enclosed, _sorted_by_score)
 
 
 def _ascending(keys: list, person: str, what: str) -> tuple[int, ...]:

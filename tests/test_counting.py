@@ -126,6 +126,18 @@ def test_count_rejects_oversized():
         count_downsets(poset)
 
 
+def test_size_limit_error_names_budget_and_size():
+    with pytest.raises(SizeLimitError) as err:
+        count_downsets(over_budget_poset())
+    assert (err.value.budget, err.value.size) == (2**20, 80) == (MEMO_BUDGET, 80)
+    assert str(err.value) == (
+        "size bound exceeded: memo budget of 1048576 entries "
+        "used up on a poset of 80 elements"
+    )
+    bare = SizeLimitError("size bound exceeded")
+    assert (str(bare), bare.budget, bare.size) == ("size bound exceeded", None, None)
+
+
 @pytest.mark.parametrize(
     "seed, want", [(0, 608), (1, 393), (2, 1071), (3, 443), (4, 235)]
 )

@@ -441,6 +441,72 @@ def test_dot_sort_compares_inside_overlapping_enclosures(monkeypatch):
         instance_from_dot(_ranked_by_one_attribute(near[:3] + near[1:2]))
 
 
+def _ranked_by(pref, women):
+    # every man has the preference vector pref; the women rank the men by
+    # their first coordinate
+    k, n = len(pref), len(women)
+    axis = (Value.ONE,) + (Value.ZERO,) * (k - 1)
+    return AttributeSpec(
+        k,
+        n,
+        men_pos=tuple((Value.rational(i),) + axis[1:] for i in range(1, n + 1)),
+        men_pref=(pref,) * n,
+        women_pos=tuple(women),
+        women_pref=(axis,) * n,
+    )
+
+
+def test_dot_score_radius_covers_every_coordinate_error():
+    # A coordinate x is enclosed in units of 2**-128 and kept as the
+    # midpoint m and radius r of that enclosure, at 2**-129.  Each case
+    # has a woman whose midpoint score lies above the other's although
+    # her score is lower, so only the full radius puts both in one run.
+    zero, one = Value.ZERO, Value.ONE
+
+    # x = 4**80 + 2**-200 cos(1/q) has m odd, x above it by less than
+    # 2**-129: woman 2 splits near(5) across two coordinates, so her
+    # midpoint score is a whole 2**-129 above woman 1's near(7)
+    def near(q):
+        return Value.rational(4**80) + Value.rational(F(1, 2**200)) * Value.trig("cos", F(1, q))
+
+    half = Value.rational(F(1, 2**201)) * Value.trig("cos", F(1, 5))
+    split = (Value.rational(4**80) + half, half)
+    assert split[0] + split[1] == near(5)
+    inst = instance_from_dot(_ranked_by((one, one), [(near(7), zero), split]))
+    assert inst.men_prefs == ((1, 2),) * 2
+
+    # p * 2**128 = 1 - 2**-128 lies at the top of its enclosure [0, 1], so
+    # m = r = 1 and the product p * p * 2**258 = 4 (1 - 2**-128)**2 exceeds
+    # m * m + |m| r + r |m| = 3 by almost r * r = 1.  Woman 1 scores five
+    # such products, just under 20 * 2**-258, woman 2 exactly 16 * 2**-258
+    # from coordinates enclosed exactly; without the r * r terms woman 1's
+    # interval would end at 15
+    p = Value.rational(F(2**128 - 1, 2**256))
+    e = Value.rational(F(1, 2**127))
+    inst = instance_from_dot(
+        _ranked_by((p,) * 5 + (e,), [(p,) * 5 + (zero,), (zero,) * 5 + (e,)])
+    )
+    assert inst.men_prefs == ((1, 2),) * 2
+
+
+def test_3x4_dot_order_needs_no_exact_scores(monkeypatch):
+    # every enclosure of gen_3attribute(GRAPH_3X4) stands apart, so no
+    # exact score is built and no pair is compared
+    spec = gen_3attribute(GRAPH_3X4)
+    want = dot_instance_oracle(spec)
+    calls = []
+    for name in ("compare_values", "_scaled_dot"):
+        real = getattr(stablecount.geometry, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(stablecount.geometry, name, counted)
+    assert instance_from_dot(spec) == want
+    assert calls == []
+
+
 def test_euclidean_collinear_by_absolute_difference():
     spec = EuclideanSpec(
         1,
