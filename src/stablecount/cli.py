@@ -158,9 +158,14 @@ def _cmd_verify(args) -> int:
             for name in os.listdir(args.file)
             if name.endswith(".bis")
         )
+        if not paths:
+            raise ParseError(f"no .bis files in {args.file}")
     all_ok = True
     for path in paths:
-        report = verify_reduction(parse_bipartite(_read(path)), args.model)
+        try:
+            report = verify_reduction(parse_bipartite(_read(path)), args.model)
+        except (ValueError, OSError) as exc:  # in a directory, name the graph
+            raise (ValueError(f"{path}: {exc}") if is_dir else exc) from None
         if is_dir:
             print(f"== {path}")
         print(report)

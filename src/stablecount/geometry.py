@@ -23,11 +23,10 @@ integer enclosures of value * 2**bits.  Each coordinate is enclosed once
 to 128 bits after the binary point, and each score's enclosure is the
 integer dot product of the coordinates' midpoints with a radius that
 covers their errors (see instance_from_dot).  Only inside the runs of
-overlapping score enclosures is a score built as an exact Value, summed
-over integer coefficients with one denominator per vector, and sorted by
-exact pairwise comparison, which doubles the bits up to the fixed cap
-MAX_BITS (4096 bits).  If two scores cannot be separated the
-construction refuses to guess and raises TieDetected.
+overlapping score enclosures is a score built as an exact Value and
+sorted by compare_values, which decides zero exactly in a cyclotomic
+field and encloses a nonzero difference at doubling bits until it
+separates.  Two equal scores raise TieDetected.
 """
 
 from __future__ import annotations
@@ -35,32 +34,29 @@ from __future__ import annotations
 import functools
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd, isqrt, lcm
 
 from .core import Instance, ParseError, _first_missing, _header
 from .rotations import find_all_rotations
 
 
 DEFAULT_BITS = 128
-MAX_BITS = 4096
 
 
 class TieDetected(ValueError):
-    """Two candidates score exactly alike (or could not be separated at
-    the precision cap); the model does not induce strict preferences.
-    ``person`` (such as ``"man 3"``) and the two ``candidates`` open the
-    message when given; ``bits`` is None for an exact tie and MAX_BITS
-    when the enclosures ran out of precision."""
+    """Two candidates are exactly tied for one person; the model does not
+    induce strict preferences.  ``person`` (such as ``"man 3"``) and the
+    two ``candidates`` open the message when given."""
 
-    def __init__(self, message: str, person=None, candidates=None, bits=None) -> None:
+    def __init__(self, message: str, person=None, candidates=None) -> None:
         if person is not None:
             a, b = candidates = tuple(sorted(candidates))
             message = f"{person}: candidates {a} and {b} {message}"
         super().__init__(message)
-        self.person, self.candidates, self.bits = person, candidates, bits
+        self.person, self.candidates = person, candidates
 
 
 # -- exact values ------------------------------------------------------
@@ -127,7 +123,20 @@ class Value:
         return Value(tuple((-c, a, b) for c, a, b in self.terms))
 
     def __mul__(self, other: "Value") -> "Value":
-        return _dot((self,), (other,))
+        # 2 cos x cos y = cos(x - y) + cos(x + y); with each operand's terms
+        # over its lcm denominator du or dv, each sum term is n / (4 du dv)
+        du, dv = (lcm(*(c.denominator for c, _, _ in x.terms)) for x in (self, other))
+        acc = {}
+        for c1, a1, b1 in self.terms:
+            n1 = c1.numerator * (du // c1.denominator)
+            for c2, a2, b2 in other.terms:
+                n = n1 * c2.numerator * (dv // c2.denominator)
+                p, q, b = a1 * b2, a2 * b1, b1 * b2
+                for w, a, b in (_fold(p - q, b), _fold(p + q, b)):
+                    if w:
+                        acc[a, b] = acc.get((a, b), 0) + w * n
+        d = 4 * du * dv
+        return Value(tuple((Fraction(c, d), a, b) for (a, b), c in sorted(acc.items()) if c))
 
     def is_rational(self) -> bool:
         return all(not a for _, a, _ in self.terms)
@@ -142,43 +151,6 @@ class Value:
 
 Value.ZERO = Value(())
 Value.ONE = Value.rational(1)
-
-
-Scaled = tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]]
-
-
-def _scaled(vec: Sequence[Value]) -> Scaled:
-    # (d, rows): each coordinate's terms as (c * d, a, b), d the lcm of
-    # every coefficient denominator in the vector, so each c * d is an int
-    d = lcm(*(c.denominator for x in vec for c, _, _ in x.terms))
-    return d, tuple(
-        tuple((c.numerator * (d // c.denominator), a, b) for c, a, b in x.terms)
-        for x in vec
-    )
-
-
-def _scaled_dot(u: Scaled, v: Scaled) -> Value:
-    # one merge over every coordinate product, each made a sum through
-    # 2 cos x cos y = cos(x - y) + cos(x + y); with the folds' w/2 every
-    # sum term is an integer over 4 du dv
-    (du, xs), (dv, ys) = u, v
-    acc = {}
-    for x, y in zip(xs, ys):
-        for n1, a1, b1 in x:
-            for n2, a2, b2 in y:
-                n = n1 * n2
-                p, q, b = a1 * b2, a2 * b1, b1 * b2
-                for w, a, b in (_fold(p - q, b), _fold(p + q, b)):
-                    if w:
-                        acc[a, b] = acc.get((a, b), 0) + w * n
-    d = 4 * du * dv
-    return Value(tuple((Fraction(c, d), a, b) for (a, b), c in sorted(acc.items()) if c))
-
-
-def _dot(u: Sequence[Value], v: Sequence[Value]) -> Value:
-    # instance_from_dot calls _scaled_dot only inside runs of overlapping
-    # enclosures
-    return _scaled_dot(_scaled(u), _scaled(v))
 
 
 # -- integer enclosures ------------------------------------------------
@@ -215,8 +187,8 @@ def _cos_interval(a: int, b: int, bits: int) -> tuple[int, int]:
     T_k = floor(T_(k-1) y / (2**w (2k-1) 2k)) from T_0 = 2**w: T_1 is short
     by less than 3/2, each later one by less than 1 + 1/9 plus 1/4 of the
     shortfall before, so by less than 2, as is the Lagrange remainder at
-    the first zero term T_N.  So the sum is within 2N + d of the cosine,
-    below 2**19 (and hi - lo <= 2) for any bits up to about 10**5.
+    the first zero term T_N.  So the sum is within 2N + d of the cosine at
+    any bits, below 2**19 (so hi - lo <= 2) for bits up to about 10**5.
     """
     w = bits + 20
     pi_lo, pi_hi = _pi_interval(w)
@@ -256,29 +228,57 @@ def _value_interval(terms: tuple[Term, ...], bits: int) -> tuple[int, int]:
     return lo >> g, -(-hi >> g)
 
 
-def compare_values(a: Value, b: Value) -> int:
-    """Certified three-way comparison: -1, 0 (exact tie), or +1.
+def _vanishes(coefs: dict[int, Fraction], n: int) -> bool:
+    """Whether the sum of c * zeta**e over coefs {e: c} is zero, zeta =
+    exp(2*pi*i/n).  Let p be n's least prime, q its full power in n and
+    m = n/q; with u*m + v*q = 1 (mod n), zeta**e is zeta_q**(e*u) *
+    zeta_m**(e*v), so exponent e goes to row e*u mod q, column e*v mod m.
+    Over Q(zeta_m) the only relations among the powers of zeta_q are
+    sum_t zeta_q**(r + t*q/p) = 0, so the sum is zero exactly when, for
+    each r mod q/p, the p rows r + t*q/p are equal in Q(zeta_m), tested
+    recursively on m; a missing row is zero.  If all of n's primes exceed
+    len(coefs), no class holds p rows and every coefficient must vanish,
+    so trial division stops there and takes n whole (p = q = n, m = 1)."""
+    if n == 1:
+        return not sum(coefs.values())
+    p = q = next((d for d in range(2, min(isqrt(n), len(coefs)) + 1) if n % d == 0), n)
+    while n % (q * p) == 0:
+        q *= p
+    m = n // q
+    u, v = pow(m, -1, q), pow(q, -1, m)
+    classes: dict[int, dict[int, Counter]] = {}
+    for e, c in coefs.items():
+        r = e * u % q
+        classes.setdefault(r % (q // p), {}).setdefault(r, Counter())[e * v % m] += c
+    for rows in classes.values():
+        base = next(iter(rows.values())) if len(rows) == p else Counter()
+        for row in rows.values():
+            if not _vanishes({k: row[k] - base[k] for k in row.keys() | base.keys()}, m):
+                return False
+    return True
 
-    Raises TieDetected when the difference is not symbolically zero but
-    its integer enclosure, doubling the bits after the binary point from
-    DEFAULT_BITS, cannot separate it from zero at MAX_BITS bits.
-    """
+
+def compare_values(a: Value, b: Value) -> int:
+    """Certified three-way comparison: -1, 0 (exact tie), or +1.  Only when
+    the 128-bit enclosure of the difference holds zero is the difference
+    tested for zero, as 2 c cos(2*pi*s/t) = c (zeta**k + zeta**-k) with
+    zeta = exp(2*pi*i/N), N the lcm of the t and k = s*N/t (see _vanishes).
+    A nonzero difference is enclosed at doubling bits until it separates."""
     diff = a - b
-    if diff.is_rational():
-        x = diff.as_fraction()
-        return (x > 0) - (x < 0)
     bits = DEFAULT_BITS
-    while bits <= MAX_BITS:
+    while True:
         lo, hi = _value_interval(diff.terms, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        if bits == DEFAULT_BITS:
+            n = lcm(*(t for _, _, t in diff.terms))
+            coefs = Counter()
+            for c, s, t in diff.terms:
+                for e in (s * n // t, -s * n // t % n):
+                    coefs[e] += c
+            if _vanishes(coefs, n):
+                return 0
         bits *= 2
-    raise TieDetected(
-        f"could not separate two scores at {MAX_BITS} bits of precision",
-        bits=MAX_BITS,
-    )
 
 
 # -- coordinate token grammar ------------------------------------------
@@ -450,24 +450,19 @@ def _sorted_by_score(pref, positions: list, person: str) -> tuple[int, ...]:
         runs[-1].append(c)
         floor = lo if floor is None else min(floor, lo)
 
-    scores = {}
+    @functools.cache
+    def score(c: int) -> Value:
+        return sum(map(operator.mul, vec, positions[c - 1][0]), Value.ZERO)
 
     def cmp(a: int, b: int) -> int:
-        try:
-            c = compare_values(scores[a], scores[b])
-        except TieDetected:
-            what = f"could not be separated at {MAX_BITS} bits of precision"
-            raise TieDetected(what, person, (a, b), MAX_BITS) from None
+        c = compare_values(score(a), score(b))
         if c == 0:
             raise TieDetected("score exactly alike", person, (a, b))
         return -c
 
-    key = functools.cmp_to_key(cmp)
     for run in runs:
         if len(run) > 1:
-            u = _scaled(vec)
-            scores.update((c, _scaled_dot(u, _scaled(positions[c - 1][0]))) for c in run)
-            run.sort(key=key)
+            run.sort(key=functools.cmp_to_key(cmp))
     return tuple(c for run in runs for c in run)
 
 

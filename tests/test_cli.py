@@ -368,7 +368,15 @@ def test_verify_directory_stops_at_a_malformed_graph(tmp_path, capsys):
     assert run(["verify", "--model", "lists", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"== {tmp_path}/a.bis\n" + VERIFY_PASSED.format(count=3)
-    assert captured.err == "error: edge (9,1) out of range\n"
+    assert captured.err == f"error: {tmp_path}/b.bis: edge (9,1) out of range\n"
+
+
+def test_verify_directory_without_graphs_is_an_error(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text(SINGLE_EDGE_BIS)
+    assert run(["verify", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no .bis files in {tmp_path}\n"
 
 
 def test_missing_file_is_an_error(capsys):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -37,10 +39,8 @@ from stablecount import (
     rotation_poset,
 )
 from stablecount.geometry import (
-    MAX_BITS,
     Value,
     _cos_interval,
-    _dot,
     _pi_interval,
     _value_interval,
     format_value,
@@ -95,13 +95,92 @@ def test_compare_values_signs():
     # sin(1/8) is cos(1/4 - 1/8) in normal form: an exact tie
     assert compare_values(Value.trig("cos", F(1, 8)), Value.trig("sin", F(1, 8))) == 0
     # cos(1/5) + cos(2/5) = -1/2 exactly, a relation the normal form does
-    # not see; the enclosures must give up at MAX_BITS rather than guess
-    with pytest.raises(TieDetected) as err:
-        compare_values(
-            Value.trig("cos", F(1, 5)) + Value.trig("cos", F(2, 5)),
-            Value.rational(F(-1, 2)),
-        )
-    assert err.value.bits == MAX_BITS
+    # not see; the zero test in Q(zeta_5) decides it
+    hidden = Value.trig("cos", F(1, 5)) + Value.trig("cos", F(2, 5))
+    assert compare_values(hidden, Value.rational(F(-1, 2))) == 0
+    # differences below 2**-128 separate only at more bits
+    tiny = Value.rational(F(1, 2**300)) * Value.trig("cos", F(1, 7))
+    assert compare_values(hidden + tiny, Value.rational(F(-1, 2))) == 1
+    assert compare_values(Value.rational(F(1, 3**200)), Value.ZERO) == 1
+
+
+def test_compare_values_matches_mpmath_on_planted_zeros():
+    # Sums of vanishing families sum_{j<p} cos(q + j/p) and
+    # cos(1/9) + cos(2/9) + cos(4/9), some nudged by 2**-k cos(r) with k
+    # up to 1000, against mpmath at 2500 bits, where a sum below 2**-2000
+    # counts as zero.  The angles' denominators include 3 * 1009 and the
+    # prime 1000003.
+    rng = random.Random(2010)
+    dens = (1, 2, 3, 4, 5, 7, 8, 9, 12, 30, 3 * 1009, 1000003)
+
+    def cos(q):
+        return Value.trig("cos", q)
+
+    def angle():
+        b = rng.choice(dens)
+        return F(rng.randrange(b), b)
+
+    def coefficient():
+        return Value.rational(F(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    def family():
+        if rng.random() < 0.1:
+            return cos(F(1, 9)) + cos(F(2, 9)) + cos(F(4, 9))
+        p, q = rng.randint(2, 11), angle()
+        return sum((cos(q + F(j, p)) for j in range(p)), Value.ZERO)
+
+    @functools.lru_cache(maxsize=None)
+    def mp_cos(a, b):
+        return mpmath.cos(2 * mpmath.pi * a / b)
+
+    zeros = signs = 0
+    for _ in range(3000):
+        total = Value.ZERO
+        for _ in range(rng.randint(1, 2)):
+            total = total + coefficient() * family()
+        if rng.random() < 0.5:
+            nudge = Value.rational(F(rng.choice((-1, 1)), 2 ** rng.randint(100, 1000)))
+            total = total + nudge * cos(angle())
+        if rng.random() < 0.2:
+            total = total + coefficient() * cos(angle())
+        other = coefficient() * cos(angle()) + coefficient()
+        with mpmath.workprec(2500):
+            x = sum(mpmath.mpf(c.numerator) / c.denominator * mp_cos(a, b) for c, a, b in total.terms)
+            want = 0 if abs(x) < mpmath.mpf(2) ** -2000 else (1 if x > 0 else -1)
+        assert compare_values(total + other, other) == want, total
+        zeros += want == 0
+        signs += want != 0
+    assert zeros > 500 and signs > 500
+
+
+def test_difference_of_two_to_the_minus_5000_is_ordered():
+    x = Value.trig("cos", F(1, 7))
+    y = x * Value.rational(1 + F(1, 2**5000))
+    assert compare_values(y, x) == 1
+    assert compare_values(x, y) == -1
+    # men rank the women by descending position: woman 2 by 2**-5000
+    inst = instance_from_dot(_ranked_by_one_attribute([x, y]))
+    assert inst.men_prefs == ((2, 1),) * 2
+
+
+def test_huge_prime_denominator_is_decided_at_once():
+    # the Mersenne prime P = 2**127 - 1 as a denominator: the zero test
+    # stops trial division at the number of exponents, so neither the
+    # 2**-200 nudge (which overlaps at 128 bits) nor the exact tie
+    # cos(1/P) + cos(1/P + 1/3) = -cos(1/P + 2/3) factors P
+    q = F(1, 2**127 - 1)
+    x = Value.trig("cos", q)
+    y = x + Value.rational(F(1, 2**200)) * x
+    tie = (x + Value.trig("cos", q + F(1, 3)), -Value.trig("cos", q + F(2, 3)))
+    start = time.perf_counter()
+    assert compare_values(y, x) == 1
+    assert compare_values(x, y) == -1
+    assert compare_values(*tie) == 0
+    inst = instance_from_dot(_ranked_by_one_attribute([x, y]))
+    assert inst.men_prefs == ((2, 1),) * 2
+    with pytest.raises(TieDetected, match="man 1: candidates 1 and 2 score exactly alike"):
+        instance_from_dot(_ranked_by_one_attribute(list(tie)))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("bits", [128, 256, 1024, 4096])
@@ -152,10 +231,7 @@ def test_normal_form_folds_angles():
     assert Value.trig("sin", F(7, 12)).as_fraction() == F(-1, 2)
     # a circle dot product collapses to the single cosine of the difference
     t, u = F(2, 7), F(5, 11)
-    dot = _dot(
-        (Value.trig("cos", t), Value.trig("sin", t)),
-        (Value.trig("cos", u), Value.trig("sin", u)),
-    )
+    dot = Value.trig("cos", t) * Value.trig("cos", u) + Value.trig("sin", t) * Value.trig("sin", u)
     assert dot == Value.trig("cos", t - u)
     for value in (dot, Value.trig("sin", F(1, 100)) * Value.trig("cos", F(17, 19))):
         for c, a, b in value.terms:
@@ -192,7 +268,6 @@ def test_exact_mirror_tie_is_found_without_enclosures(monkeypatch):
     assert str(err.value) == "man 1: candidates 1 and 3 score exactly alike"
     assert err.value.person == "man 1"
     assert err.value.candidates == (1, 3)
-    assert err.value.bits is None
     assert seen and max(seen) == 128
 
 
@@ -209,7 +284,7 @@ def test_tie_messages_name_person_and_candidates():
         instance_from_dot(spec)
     assert str(err.value) == "woman 1: candidates 1 and 3 score exactly alike"
 
-    # cos(1/5) + cos(2/5) = -1/2, which only enclosures can compare
+    # cos(1/5) + cos(2/5) = -1/2, a tie only the zero test sees
     hidden = Value.trig("cos", F(1, 5)) + Value.trig("cos", F(2, 5))
     spec = AttributeSpec(
         1, 2,
@@ -220,12 +295,8 @@ def test_tie_messages_name_person_and_candidates():
     )
     with pytest.raises(TieDetected) as err:
         instance_from_dot(spec)
-    assert str(err.value) == (
-        "man 1: candidates 1 and 2 could not be separated at 4096 bits of precision"
-    )
-    assert (err.value.person, err.value.candidates, err.value.bits) == (
-        "man 1", (1, 2), MAX_BITS
-    )
+    assert str(err.value) == "man 1: candidates 1 and 2 score exactly alike"
+    assert (err.value.person, err.value.candidates) == ("man 1", (1, 2))
 
     spec = EuclideanSpec(
         1, 3,
@@ -237,9 +308,7 @@ def test_tie_messages_name_person_and_candidates():
     with pytest.raises(TieDetected) as err:
         instance_from_euclidean(spec)
     assert str(err.value) == "man 2: candidates 1 and 3 are exactly equidistant"
-    assert (err.value.person, err.value.candidates, err.value.bits) == (
-        "man 2", (1, 3), None
-    )
+    assert (err.value.person, err.value.candidates) == ("man 2", (1, 3))
 
     spec = OneAttributeSpec(
         1, 3,
@@ -342,6 +411,11 @@ def test_dot_sort_matches_pairwise_oracle():
             assert instance_from_dot(spec) == want
 
 
+def _value_dot(u, v):
+    # the exact score that instance_from_dot builds inside a run
+    return sum(map(operator.mul, u, v), Value.ZERO)
+
+
 def test_single_merge_dot_matches_pairwise_sum():
     # values built by the Fraction oracle alone, with coefficient
     # denominators up to 6 and angles in twelfths and 24ths, whose sums and
@@ -363,11 +437,11 @@ def test_single_merge_dot_matches_pairwise_sum():
         k = rng.randint(1, 4)
         u = [random_value() for _ in range(k)]
         v = [random_value() for _ in range(k)]
-        assert _dot(u, v).terms == pairwise_dot(u, v).terms == fraction_dot(u, v).terms
+        assert _value_dot(u, v).terms == pairwise_dot(u, v).terms == fraction_dot(u, v).terms
 
     # cos(1/12)**2 = (cos(0) + cos(1/6)) / 2 = 3/4
     c12 = Value.trig("cos", F(1, 12))
-    assert _dot((c12,), (c12,)) == Value.rational(F(3, 4))
+    assert c12 * c12 == Value.rational(F(3, 4))
 
 
 def test_dot_matches_fraction_oracle_on_3attribute_scores():
@@ -381,7 +455,7 @@ def test_dot_matches_fraction_oracle_on_3attribute_scores():
         ):
             for pref in prefs:
                 for pos in positions:
-                    assert _dot(pref, pos) == fraction_dot(pref, pos)
+                    assert _value_dot(pref, pos) == fraction_dot(pref, pos)
 
 
 def _ranked_by_one_attribute(women):
@@ -495,14 +569,14 @@ def test_3x4_dot_order_needs_no_exact_scores(monkeypatch):
     spec = gen_3attribute(GRAPH_3X4)
     want = dot_instance_oracle(spec)
     calls = []
-    for name in ("compare_values", "_scaled_dot"):
-        real = getattr(stablecount.geometry, name)
+    for owner, name in ((stablecount.geometry, "compare_values"), (Value, "__mul__")):
+        real = getattr(owner, name)
 
         def counted(*args, real=real, name=name):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(stablecount.geometry, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert instance_from_dot(spec) == want
     assert calls == []
 
@@ -539,7 +613,7 @@ def _outcome(build, spec):
     try:
         return build(spec)
     except TieDetected as exc:
-        return (str(exc), exc.person, exc.candidates, exc.bits)
+        return (str(exc), exc.person, exc.candidates)
 
 
 def test_euclidean_matches_fraction_oracle():
@@ -568,7 +642,7 @@ def test_euclidean_matches_fraction_oracle():
         got = _outcome(instance_from_euclidean, spec)
         assert got == _outcome(euclidean_instance_oracle, spec)
         if spec in planted:
-            assert isinstance(got, tuple) and got[3] is None
+            assert isinstance(got, tuple) and got[0].endswith("are exactly equidistant")
 
 
 def test_1attribute_lists_are_reverses():
@@ -796,7 +870,7 @@ def test_vector_spec_rejects_nonpositive_k(spec_type, value):
 
 
 def test_attribute_spec_makes_rational_coordinates_values():
-    # _scaled reads the terms of a Value, so an int coordinate becomes one
+    # products read the terms of a Value, so an int coordinate becomes one
     spec = AttributeSpec(1, 1, ((1,),), ((1,),), ((1,),), ((1,),))
     assert spec.men_pos == ((Value.ONE,),)
     assert instance_from_dot(spec) == Instance(1, ((1,),), ((1,),))
