@@ -172,6 +172,23 @@ def _header(text: str) -> tuple[int, str, Iterator[tuple[int, str]]]:
     return lineno, header, lines
 
 
+def _tagged_pairs(lines: Iterable[tuple[int, str]], form: str) -> list[tuple[int, int]]:
+    """The two integers of each ``tag a b`` line, for `form` such as
+    ``"pair m w"`` whose first word is the tag.  A line of another shape
+    is a `ParseError` that quotes `form`."""
+    tag = form.split()[0]
+    pairs = []
+    for lineno, line in lines:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != tag:
+            raise ParseError(f"expected '{form}'", lineno)
+        try:
+            pairs.append((int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise ParseError("indices must be integers", lineno) from None
+    return pairs
+
+
 def _first_missing(given: Container[int], count: int) -> str:
     """`count` missing indices, named by the first of them: the smallest
     from 1 on that `given` lacks, as "3" or "3 and 5 more"."""
@@ -246,15 +263,7 @@ def format_instance(inst: Instance) -> str:
 
 def parse_matching(text: str, n: int | None = None) -> Matching:
     """Parse a matching given as ``pair m w`` lines."""
-    pairs = []
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "pair":
-            raise ParseError("expected 'pair m w'", lineno)
-        try:
-            pairs.append((int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ParseError("indices must be integers", lineno) from None
+    pairs = _tagged_pairs(_content_lines(text), "pair m w")
     size = n if n is not None else len(pairs)
     try:
         return Matching.from_pairs(size, pairs)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, Matching, ParseError, _header
+from .core import Instance, Matching, ParseError, _header, _tagged_pairs
 from .rotations import Poset, RotationPoset, _bits, rotation_poset
 
 
@@ -70,8 +70,9 @@ def count_downsets(poset: Poset) -> int:
     return count((1 << poset.size) - 1)
 
 
-def enumerate_downsets(poset: Poset) -> Iterator[frozenset[int]]:
-    """Yield the downsets one at a time.
+def enumerate_downsets(poset: Poset) -> Iterator[int]:
+    """Yield the downsets one at a time, each as the bitmask of its
+    elements, like ``poset.below``.
 
     Walks the split of `count_downsets` depth first, the downsets without
     x before those with x, so each downset costs at most one split per
@@ -84,7 +85,7 @@ def enumerate_downsets(poset: Poset) -> Iterator[frozenset[int]]:
     while stack:
         live, chosen = stack.pop()
         if not live:
-            yield frozenset(_bits(chosen))
+            yield chosen
             continue
         x = live & -live
         i = x.bit_length() - 1
@@ -92,19 +93,16 @@ def enumerate_downsets(poset: Poset) -> Iterator[frozenset[int]]:
         stack.append((live & ~(x | above[i]), chosen))
 
 
-def matching_from_downset(rposet: RotationPoset, downset: frozenset[int]) -> Matching:
-    """Apply the rotations of a downset (in discovery order) to the
-    man-optimal matching.  A set of indices that is not a down-closed
-    subset of ``range(rposet.size)`` is a `ValueError`."""
-    chosen = 0
-    for i in downset:
-        if not 0 <= i < rposet.size:
-            raise ValueError("not a downset of the rotation poset")
-        chosen |= 1 << i
-    if any(rposet.below[i] & ~chosen for i in downset):
+def matching_from_downset(rposet: RotationPoset, mask: int) -> Matching:
+    """Apply the rotations of a downset, given as the bitmask of its
+    elements, to the man-optimal matching.  Ascending index order is a
+    linear extension, so they are applied lowest bit first.  A mask that
+    is negative or holds a bit past ``rposet.size`` (either way, ``mask >>
+    size`` is not 0) or is not down-closed is a `ValueError`."""
+    if mask >> rposet.size or any(rposet.below[i] & ~mask for i in _bits(mask)):
         raise ValueError("not a downset of the rotation poset")
     wives = list(rposet.man_optimal.wives)
-    for i in sorted(downset):
+    for i in _bits(mask):
         for m, _, nw in rposet.rotations[i].steps:
             wives[m - 1] = nw
     return Matching(tuple(wives))
@@ -191,15 +189,7 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         n1, n2 = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError("sizes must be integers", lineno) from None
-    edges = []
-    for lineno, line in lines:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "e":
-            raise ParseError("expected 'e u v'", lineno)
-        try:
-            edges.append((int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ParseError("vertex ids must be integers", lineno) from None
+    edges = _tagged_pairs(lines, "e u v")
     try:
         return BipartiteGraph(n1, n2, tuple(edges))
     except ValueError as exc:

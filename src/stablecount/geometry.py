@@ -301,7 +301,7 @@ def parse_value(token: str) -> Value:
         for part in summand.split("*"):
             m = _TOKEN_RE.match(part)
             if not m:
-                raise ValueError(f"bad coordinate token {part!r}")
+                raise ValueError(f"bad coordinate token {part or token!r}")
             try:
                 if m["rat"] is not None:
                     val = Value.rational(Fraction(m["rat"]))

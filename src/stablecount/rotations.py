@@ -57,14 +57,13 @@ class Rotation:
 
 
 def _suitor(
-    inst: Instance, wives: Sequence[int], husbands: Sequence[int], best: Sequence[int],
-    m: int, start: int,
+    inst: Instance, husbands: Sequence[int], best: Sequence[int], m: int, start: int
 ) -> int | None:
     """The 0-based position of m's suitor on his list, or None if he has
     none.  His suitor is the first woman below his wife who prefers m to
     her husband; the scan begins at position `start`, which lies below his
-    wife.  ``wives[m-1]`` / ``husbands[w-1]`` describe the current matching
-    and ``best[w-1]`` is w's partner in the woman-optimal matching.
+    wife.  ``husbands[w-1]`` describes the current matching and
+    ``best[w-1]`` is w's partner in the woman-optimal matching.
 
     The scan skips women who rank m above their best stable partner: no
     rotation can ever form such a pair, and ignoring them guarantees that
@@ -75,8 +74,6 @@ def _suitor(
     never m's suitor later; a walk resumes each man's scan where it
     stopped.
     """
-    if best[wives[m - 1] - 1] == m:
-        return None  # already at his worst stable partner
     prefs = inst.men_prefs[m - 1]
     wrank = inst._women_rank
     for pos in range(start, inst.n):
@@ -88,7 +85,7 @@ def _suitor(
 
 
 def _trace_rotation(
-    inst: Instance, wives: Sequence[int], husbands: Sequence[int], best: Sequence[int],
+    inst: Instance, husbands: Sequence[int], best: Sequence[int],
     chain: dict[int, int], start: list[int],
 ) -> Rotation:
     """Extend the suitor path `chain` until it closes, cut the cycle off
@@ -104,7 +101,7 @@ def _trace_rotation(
     """
     w, h = next(reversed(chain.items()))
     while True:
-        pos = _suitor(inst, wives, husbands, best, h, start[h - 1])
+        pos = _suitor(inst, husbands, best, h, start[h - 1])
         if pos is None:
             raise ValueError(f"man {h} has no suitor; chain broke")
         start[h - 1] = pos
@@ -166,7 +163,7 @@ def find_all_rotations(
             if first == n:
                 break
             chain[wives[order[first] - 1]] = order[first]
-        rot = _trace_rotation(inst, wives, husbands, best, chain, start)
+        rot = _trace_rotation(inst, husbands, best, chain, start)
         for mi, _, nw in rot.steps:
             wives[mi - 1] = nw
             husbands[nw - 1] = mi

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import os
 import random
 import subprocess
@@ -6,12 +7,19 @@ import sys
 
 import pytest
 
-from conftest import GRAPH_3X4, GRAPH_4X5, independent_sets_oracle, random_instance
+from conftest import (
+    GRAPH_3X4,
+    GRAPH_4X5,
+    independent_sets_oracle,
+    random_1attribute,
+    random_instance,
+)
 from stablecount import (
     BipartiteGraph,
     Matching,
     counting,
     format_bipartite,
+    format_geometric,
     format_instance,
     gen_partial_lists,
     is_stable,
@@ -54,6 +62,32 @@ def test_blocking_lists_pairs(write, capsys):
     matching = write("match.txt", "pair 1 1\npair 2 2\n")
     assert run(["blocking", inst, matching]) == 0
     assert capsys.readouterr().out == ""  # stable: nothing to report
+
+
+def test_blocking_prints_each_pair(write, capsys):
+    # both men and both women rank 1 first, so man 1 and woman 1 block
+    # the matching that pairs each of them with a 2
+    inst = write("inst.txt", "n 2\nm 1: 1 2\nm 2: 1 2\nw 1: 1 2\nw 2: 1 2\n")
+    matching = write("match.txt", "pair 1 2\npair 2 1\n")
+    assert run(["blocking", inst, matching]) == 0
+    assert capsys.readouterr().out == "block 1 1\n"
+
+
+def test_dash_reads_stdin(capsys, monkeypatch):
+    text = "n 2\nm 1: 1 2\nm 2: 2 1\nw 1: 2 1\nw 2: 1 2\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["enumerate", "-"]) == 0
+    assert capsys.readouterr().out == "total 2\n1 2\n2 1\n"
+
+
+def test_broken_pipe_exits_zero(write, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    path = write("inst.txt", TRIVIAL_INSTANCE)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["count", path]) == 0
 
 
 def test_count_single_edge_instance(write, capsys):
@@ -114,6 +148,10 @@ def test_enumerate_rejects_negative_limit(write, capsys):
     assert "argument --limit: must be non-negative, got -1" in captured.err
     assert run(["enumerate", "--limit", "0", path]) == 0
     assert capsys.readouterr().out == "total 29\n"
+    assert run(["enumerate", "--limit", "x", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --limit: invalid int value: 'x'" in captured.err
 
 
 def test_count_past_64_rotations(write, capsys):
@@ -168,6 +206,28 @@ def test_count_1d(write, capsys):
     assert run(["count-1d", path]) == 0
     out = capsys.readouterr().out
     assert out.strip().isdigit()
+
+
+def test_count_1d_rejects_other_models(write, capsys):
+    path = write("spec.txt", "model euclid 1 1\nmpos 1: 0\nmpref 1: 1\nwpos 1: 2\nwpref 1: 3\n")
+    assert run(["count-1d", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count-1d expects a 'model 1d' spec\n"
+
+
+def test_1d_counts_agree_across_commands(write, capsys):
+    # count and enumerate build the 1d instance through induced_instance,
+    # count-1d counts the rotations of the chain
+    rng = random.Random(71)
+    for _ in range(10):
+        path = write("spec.txt", format_geometric(random_1attribute(rng, rng.randint(1, 12))))
+        assert run(["count-1d", path]) == 0
+        want = capsys.readouterr().out
+        assert run(["count", path]) == 0
+        assert capsys.readouterr().out == want
+        assert run(["enumerate", "--limit", "0", path]) == 0
+        assert capsys.readouterr().out == f"total {want}"
 
 
 def test_count_accepts_geometric_input(write, capsys):

@@ -57,6 +57,9 @@ def test_parse_rejects_missing_line():
         ("n 100000000\nm 1: x\n", "line 2: indices must be integers"),
         ("n 2\nm 1: 1 2\nm 2: 2 1\nw 2: 1 2\n", "missing preference lists: w 1"),
         ("n 3\nm 2: 1 2 3\nw 3: 1 2 3\n", "missing preference lists: m 1 and 3 more"),
+        ("n 0\n", "line 1: n must be positive"),
+        ("n 100000000\nx 1: 1\n", "line 2: expected 'm i: ...' or 'w j: ...'"),
+        ("n 100000000\nw 100000001: 1\n", "line 2: person index 100000001 out of range 1..100000000"),
     ],
 )
 def test_parse_huge_n_is_cheap(text, message):
@@ -246,6 +249,28 @@ def test_matching_parse_format():
 def test_matching_parse_rejects_incomplete():
     with pytest.raises(ParseError):
         parse_matching("pair 1 2\n", n=2)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pair 1 2\npair 2\n", "line 2: expected 'pair m w'"),
+        ("# c\npear 1 2\n", "line 2: expected 'pair m w'"),
+        ("pair 1 x\n", "line 1: indices must be integers"),
+        ("pair 1 3\npair 2 1\n", "pair (1,3) out of range 1..2"),
+        ("pair 1 1\npair 1 2\n", "man 1 matched twice"),
+    ],
+)
+def test_parse_matching_pins_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_matching(text, n=2)
+    assert str(err.value) == message
+
+
+def test_instance_needs_a_person():
+    with pytest.raises(ValueError) as err:
+        Instance(0, (), ())
+    assert str(err.value) == "instance needs at least one person per side"
 
 
 def test_public_names_are_pinned():

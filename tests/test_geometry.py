@@ -342,6 +342,12 @@ def test_parse_value_tokens():
     assert prod == Value.rational(2) * Value.trig("sin", F(1, 5))
     with pytest.raises(ValueError):
         parse_value("tan(1/3)")
+    with pytest.raises(ValueError) as err:
+        Value.trig("tan", F(1, 3))
+    assert str(err.value) == "unknown trig kind 'tan'"
+    with pytest.raises(ValueError) as err:
+        parse_value("cos(1/5)").as_fraction()
+    assert str(err.value) == "value is not rational"
     for token in ("1/0", "cos(1/0)", "2*pow(0,-1)"):
         with pytest.raises(ValueError, match="division by zero"):
             parse_value(token)
@@ -354,8 +360,14 @@ def test_format_value_round_trip():
     value = value + Value.rational(3)
     assert format_value(value) == "3+1/2*cos(64/475)+-1/2*cos(147/950)"
     assert parse_value(format_value(value)) == value
-    with pytest.raises(ValueError, match="bad coordinate token ''"):
-        parse_value("1+")
+    for token in ("1+", "+1", "1++1"):
+        # an empty summand is named by the whole token, not by ''
+        with pytest.raises(ValueError) as err:
+            parse_value(token)
+        assert str(err.value) == f"bad coordinate token {token!r}"
+    with pytest.raises(ValueError) as err:
+        parse_value("1+tan(1/3)")
+    assert str(err.value) == "bad coordinate token 'tan(1/3)'"
 
 
 def test_parse_value_reads_products_and_sin_as_sums():
@@ -775,6 +787,25 @@ def test_parse_geometric_errors():
     zero = "model 1d 1 1\nmpos 1: 1\nmpref 1: 0\nwpos 1: 1\nwpref 1: 1\n"
     with pytest.raises(ParseError, match="preference scalar must be nonzero"):
         parse_geometric(zero)  # the spec type's own check
+    for text, message in (
+        ("model cube 1 1\n", "line 1: expected header 'model dot|euclid|1d k n'"),
+        ("model dot one 1\n", "line 1: k and n must be integers"),
+        ("model dot 1 1\n# c\nmpos: 1\n", "line 3: expected 'mpos|mpref|wpos|wpref i: ...'"),
+        ("model dot 1 1\nmpos x: 1\n", "line 2: index must be an integer"),
+        ("model dot 1 1\nmpos 2: 1\n", "line 2: index 2 out of range 1..1"),
+        ("model dot 1 1\nmpos 1: 1\nmpos 1: 2\n", "line 3: duplicate mpos 1"),
+        ("model dot 2 1\nmpos 1: 1\n", "line 2: expected 2 coordinates"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_geometric(text)
+        assert str(err.value) == message
+
+
+def test_format_and_induced_instance_reject_non_specs():
+    for call in (format_geometric, induced_instance):
+        with pytest.raises(TypeError) as err:
+            call(None)
+        assert str(err.value) == "not a geometric spec: None"
 
 
 def test_parse_geometric_huge_n_is_cheap():

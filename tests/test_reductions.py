@@ -17,6 +17,7 @@ from conftest import (
 from stablecount import (
     enumerate_stable_matchings,
     BipartiteGraph,
+    Instance,
     Matching,
     RotationPoset,
     Side,
@@ -228,6 +229,12 @@ def test_count_independent_of_tau():
         inst = gen_partial_lists(g, tau=tau)
         assert count_stable_matchings(inst) == want
         assert read_tau(inst) == tau
+    with pytest.raises(ValueError) as err:
+        gen_partial_lists(g, tau=(1,) * n)
+    assert str(err.value) == "tau must be a permutation of 1..n"
+    with pytest.raises(ValueError) as err:
+        read_tau(Instance(3, ((1, 2, 3),) * 3, ((1, 2, 3),) * 3))
+    assert str(err.value) == "instance does not start with a b-block"
 
 
 def test_b_list_starts_with_reversed_b_block():

@@ -76,6 +76,8 @@ def test_rotation_rejects_indices_below_one():
         ("rot x: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
         ("# c\nrot 1: (1,2) (2,1)\nrotation 2: (1,1) (2,2)\n", 3,
          "expected 'rot k: (m,w) ...'"),
+        ("rot 1: (1,2) 2,1\n", 1, "bad pair token '2,1'"),
+        ("rot 1: (1,2) (2,x)\n", 1, "bad pair token '(2,x)'"),
     ],
 )
 def test_parse_rotation_rejects_bad_heads_and_indices(text, line, message):
@@ -191,6 +193,9 @@ def test_rotation_set_independent_of_man_order():
         order = tuple(rng.sample(range(1, inst.n + 1), inst.n))
         other = find_all_rotations(inst, man_order=order)[0]
         assert set(base) == set(other)
+    with pytest.raises(ValueError) as err:
+        find_all_rotations(inst, man_order=(1,) * inst.n)
+    assert str(err.value) == "man_order must be a permutation of 1..n"
 
 
 def test_eliminated_adjacent_interval():
