@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
 
 
 class ParseError(ValueError):
@@ -22,6 +22,15 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class _ItemError(ValueError):
+    """A bad item of a sequence input; ``index`` is its position, so a
+    parser can name the line the item came from."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class Side(enum.Enum):
@@ -128,11 +137,11 @@ class Matching:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Matching":
         wives = [0] * n
-        for m, w in pairs:
+        for i, (m, w) in enumerate(pairs):
             if not (1 <= m <= n and 1 <= w <= n):
-                raise ValueError(f"pair ({m},{w}) out of range 1..{n}")
+                raise _ItemError(f"pair ({m},{w}) out of range 1..{n}", i)
             if wives[m - 1]:
-                raise ValueError(f"man {m} matched twice")
+                raise _ItemError(f"man {m} matched twice", i)
             wives[m - 1] = w
         return cls(tuple(wives))
 
@@ -172,12 +181,19 @@ def _header(text: str) -> tuple[int, str, Iterator[tuple[int, str]]]:
     return lineno, header, lines
 
 
-def _tagged_pairs(lines: Iterable[tuple[int, str]], form: str) -> list[tuple[int, int]]:
-    """The two integers of each ``tag a b`` line, for `form` such as
-    ``"pair m w"`` whose first word is the tag.  A line of another shape
-    is a `ParseError` that quotes `form`."""
+_T = TypeVar("_T")
+
+
+def _tagged_pairs(
+    lines: Iterable[tuple[int, str]], form: str, build: Callable[[list[tuple[int, int]]], _T]
+) -> _T:
+    """`build` applied to the two integers of each ``tag a b`` line, for
+    `form` such as ``"pair m w"`` whose first word is the tag.  A line of
+    another shape is a `ParseError` that quotes `form`.  A `ValueError`
+    from `build` becomes a `ParseError` too, on the line of its item if it
+    is an `_ItemError`."""
     tag = form.split()[0]
-    pairs = []
+    pairs, linenos = [], []
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[0] != tag:
@@ -186,7 +202,13 @@ def _tagged_pairs(lines: Iterable[tuple[int, str]], form: str) -> list[tuple[int
             pairs.append((int(parts[1]), int(parts[2])))
         except ValueError:
             raise ParseError("indices must be integers", lineno) from None
-    return pairs
+        linenos.append(lineno)
+    try:
+        return build(pairs)
+    except _ItemError as exc:
+        raise ParseError(str(exc), linenos[exc.index]) from None
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _first_missing(given: Container[int], count: int) -> str:
@@ -263,12 +285,11 @@ def format_instance(inst: Instance) -> str:
 
 def parse_matching(text: str, n: int | None = None) -> Matching:
     """Parse a matching given as ``pair m w`` lines."""
-    pairs = _tagged_pairs(_content_lines(text), "pair m w")
-    size = n if n is not None else len(pairs)
-    try:
-        return Matching.from_pairs(size, pairs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _tagged_pairs(
+        _content_lines(text),
+        "pair m w",
+        lambda pairs: Matching.from_pairs(len(pairs) if n is None else n, pairs),
+    )
 
 
 def format_matching(matching: Matching) -> str:

@@ -6,6 +6,16 @@ enumeration reduce to the same operations on finite posets.  Independent
 sets of a bipartite graph are likewise the downsets of a height-one poset
 that puts each left vertex below its right neighbours, which is what makes
 counting stable matchings as hard as counting bipartite independent sets.
+
+`count_downsets` counts like the component-caching #SAT and #IS counters
+(Sang, Bacchus, Beame, Kautz & Pitassi, SAT 2004; Dahllöf, Jonsson &
+Wahlström, TCS 332, 2005): memoised on the set of live elements, it
+multiplies the counts of the connected components of the comparability
+graph and splits a component on its element of highest degree.  It loops
+on the largest piece and recurses into the smaller ones, so chains and
+fences stay far from the recursion limit.  Exact counting is #P-complete,
+so the memo has a budget, `MEMO_BUDGET`, and a count that uses it up is a
+`SizeLimitError`.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, Matching, ParseError, _header, _tagged_pairs
+from .core import Instance, Matching, ParseError, _header, _ItemError, _tagged_pairs
 from .rotations import Poset, RotationPoset, _bits, rotation_poset
 
 
@@ -33,30 +43,64 @@ class SizeLimitError(ValueError):
 def count_downsets(poset: Poset) -> int:
     """The number of down-closed subsets of the poset.
 
-    Splits the live elements on the lowest one, x: the downsets without x
-    are those of the live elements outside x and above it, the downsets
-    with x those of the live elements outside x and below it.  Memoised on
-    the bitmask of live elements; refuses with `SizeLimitError` once the
-    memo holds more than `MEMO_BUDGET` entries.
+    Works on a bitmask of live elements, memoised.  The live elements fall
+    into connected components of the comparability graph, whose counts
+    multiply; an isolated element counts 2.  A single component splits on
+    its element x of highest live degree, the one nearest the middle of
+    the live index range among ties: the downsets without x are those of
+    the live elements outside x and above it, the downsets with x those of
+    the live elements outside x and below it.  The count loops on the
+    largest component or the larger branch and recurses only into the
+    smaller ones, so the recursion is about log2 of the size deep.
+    Refuses with `SizeLimitError` once the memo holds more than
+    `MEMO_BUDGET` entries.
     """
     above = poset.above
     below = poset.below
+    near = [a | b for a, b in zip(above, below)]
     memo = {0: 1}
 
     def count(live: int) -> int:
-        # follow the "x in" branches down to a memoised set, then add the
-        # "x out" branches on the way back up.  Indexed in a linear
-        # extension, nested calls split on pairwise incomparable elements,
-        # so the recursion is no deeper than the poset is wide.
-        chain = []
+        # count(live) = add + mul * count(rest) for each step, so follow the
+        # larger piece down to a memoised set and unwind the steps after
+        steps = []
         while live not in memo:
-            x = live & -live
-            i = x.bit_length() - 1
-            chain.append((live, live & ~(x | above[i])))
-            live &= ~(x | below[i])
+            comps, mul = [], 1
+            rest = live
+            while rest:
+                comp = frontier = rest & -rest
+                while frontier:
+                    grown = 0
+                    for x in _bits(frontier):
+                        grown |= near[x]
+                    frontier = grown & rest & ~comp
+                    comp |= frontier
+                rest &= ~comp
+                if comp & (comp - 1):
+                    comps.append(comp)
+                else:
+                    mul *= 2
+            if mul > 1 or len(comps) > 1:
+                comps.sort(key=int.bit_count)
+                rest = comps.pop() if comps else 0
+                for comp in comps:
+                    mul *= memo.get(comp) or count(comp)
+                steps.append((live, 0, mul))
+            else:
+                mid = live.bit_length() + (live & -live).bit_length() - 2
+                x = max(
+                    _bits(live),
+                    key=lambda i: ((near[i] & live).bit_count(), -abs(2 * i - mid)),
+                )
+                out = live & ~(1 << x | above[x])
+                rest = live & ~(1 << x | below[x])
+                if out.bit_count() > rest.bit_count():
+                    out, rest = rest, out
+                steps.append((live, memo.get(out) or count(out), 1))
+            live = rest
         total = memo[live]
-        for live, out in reversed(chain):
-            total += memo.get(out) or count(out)
+        for live, add, mul in reversed(steps):
+            total = add + mul * total
             memo[live] = total
             if len(memo) > MEMO_BUDGET:
                 raise SizeLimitError(
@@ -74,8 +118,9 @@ def enumerate_downsets(poset: Poset) -> Iterator[int]:
     """Yield the downsets one at a time, each as the bitmask of its
     elements, like ``poset.below``.
 
-    Walks the split of `count_downsets` depth first, the downsets without
-    x before those with x, so each downset costs at most one split per
+    Splits on the lowest live element x, depth first, the downsets without
+    x before those with x: the same two branches that `count_downsets`
+    takes, on a fixed element.  Each downset costs at most one split per
     element and nothing is counted first: `itertools.islice` takes a
     prefix for the cost of that prefix.
     """
@@ -139,11 +184,11 @@ class BipartiteGraph:
             raise ValueError("both sides must be nonempty")
         seen = set()
         covered1, covered2 = set(), set()
-        for u, v in self.edges:
+        for i, (u, v) in enumerate(self.edges):
             if not (1 <= u <= self.n1 and 1 <= v <= self.n2):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise _ItemError(f"edge ({u},{v}) out of range", i)
             if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
+                raise _ItemError(f"duplicate edge ({u},{v})", i)
             seen.add((u, v))
             covered1.add(u)
             covered2.add(v)
@@ -189,11 +234,7 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         n1, n2 = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError("sizes must be integers", lineno) from None
-    edges = _tagged_pairs(lines, "e u v")
-    try:
-        return BipartiteGraph(n1, n2, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _tagged_pairs(lines, "e u v", lambda edges: BipartiteGraph(n1, n2, tuple(edges)))
 
 
 def format_bipartite(graph: BipartiteGraph) -> str:

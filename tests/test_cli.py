@@ -190,6 +190,22 @@ def test_isets_past_40_vertices(write, capsys):
     assert capsys.readouterr().out == f"{independent_sets_oracle(graph)}\n"
 
 
+MATCHING_20 = "bis 20 20\n" + "".join(f"e {i} {i}\n" for i in range(1, 21))
+
+
+def test_20_by_20_matching_through_the_cli(write, capsys):
+    # each command once refused this graph after using up the memo budget
+    bis = write("g.bis", MATCHING_20)
+    assert run(["isets", bis]) == 0
+    assert capsys.readouterr().out == f"{3**20}\n"
+    assert run(["verify", "--model", "lists", bis]) == 0
+    assert capsys.readouterr().out == VERIFY_PASSED.format(count=3**20)
+    assert run(["gen", "--model", "lists", bis]) == 0
+    inst = write("inst.txt", capsys.readouterr().out)
+    assert run(["count", inst]) == 0
+    assert capsys.readouterr().out == f"{3**20}\n"
+
+
 def test_isets(write, capsys):
     bis = write("g.bis", format_bipartite(GRAPH_3X4))
     assert run(["isets", bis]) == 0
@@ -428,7 +444,7 @@ def test_verify_directory_stops_at_a_malformed_graph(tmp_path, capsys):
     assert run(["verify", "--model", "lists", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"== {tmp_path}/a.bis\n" + VERIFY_PASSED.format(count=3)
-    assert captured.err == f"error: {tmp_path}/b.bis: edge (9,1) out of range\n"
+    assert captured.err == f"error: {tmp_path}/b.bis: line 2: edge (9,1) out of range\n"
 
 
 def test_verify_directory_without_graphs_is_an_error(tmp_path, capsys):

@@ -257,8 +257,10 @@ def test_matching_parse_rejects_incomplete():
         ("pair 1 2\npair 2\n", "line 2: expected 'pair m w'"),
         ("# c\npear 1 2\n", "line 2: expected 'pair m w'"),
         ("pair 1 x\n", "line 1: indices must be integers"),
-        ("pair 1 3\npair 2 1\n", "pair (1,3) out of range 1..2"),
-        ("pair 1 1\npair 1 2\n", "man 1 matched twice"),
+        ("pair 1 3\npair 2 1\n", "line 1: pair (1,3) out of range 1..2"),
+        ("pair 1 1\npair 1 2\n", "line 2: man 1 matched twice"),
+        ("pair 1 2\n\n# c\npair 2 3\n", "line 4: pair (2,3) out of range 1..2"),
+        ("pair 1 1\npair 2 1\n", "matching must pair every man with a distinct woman"),
     ],
 )
 def test_parse_matching_pins_messages(text, message):

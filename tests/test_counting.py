@@ -34,7 +34,7 @@ from stablecount import (
     rotation_poset,
     verify_reduction,
 )
-from stablecount import gale_shapley
+from stablecount import counting, gale_shapley
 
 
 def chain(k):
@@ -46,11 +46,11 @@ def antichain(k):
     return Poset((0,) * k)
 
 
-def random_poset(rng, k):
+def random_poset(rng, k, density=0.4):
     below = [0] * k
     for j in range(k):
         for i in range(j):
-            if rng.random() < 0.4:
+            if rng.random() < density:
                 below[j] |= 1 << i | below[i]  # keep transitively closed
     return Poset(tuple(below))
 
@@ -107,8 +107,64 @@ def test_count_chain_and_antichain():
         assert count_downsets(antichain(k)) == 2**k
 
 
+def fence(k):
+    # 0 < 1 > 2 < 3 > ...: each odd element is above its two neighbours
+    below = [0] * k
+    for i in range(1, k, 2):
+        below[i] = 1 << (i - 1) | (1 << (i + 1) if i + 1 < k else 0)
+    return Poset(tuple(below))
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_count_fence_is_fibonacci():
+    for k in range(1, 9):
+        assert count_downsets(fence(k)) == fibonacci(k + 2)
+
+
+def test_count_recursion_stays_shallow():
+    # the count recurses only into pieces at most half the size of the one
+    # it loops on, so a few dozen frames above the caller suffice for a
+    # chain, a fence and a sparse poset (its count is from the benchmark's
+    # reference counter, perfbench/inputs.py::downsets)
+    sparse = random_poset(random.Random(1), 150, 0.05)
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        assert count_downsets(chain(1200)) == 1201
+        assert count_downsets(fence(2001)) == fibonacci(2003)
+        assert count_downsets(sparse) == 2338452739040
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_count_40_by_40_graph_under_relabelling():
+    # the count is pinned from the benchmark's independent reference
+    # counter, perfbench/inputs.py::downsets
+    rng = random.Random(100)
+    edges = {(u, rng.randint(1, 40)) for u in range(1, 41)}
+    edges |= {(rng.randint(1, 40), v) for v in range(1, 41)}
+    while len(edges) < 100:
+        edges.add((rng.randint(1, 40), rng.randint(1, 40)))
+    graph = BipartiteGraph(40, 40, tuple(edges))
+    assert count_independent_sets(graph) == 47031666399706112
+    left, right = rng.sample(range(1, 41), 40), rng.sample(range(1, 41), 40)
+    shuffled = BipartiteGraph(40, 40, tuple((left[u - 1], right[v - 1]) for u, v in edges))
+    swapped = BipartiteGraph(40, 40, tuple((v, u) for u, v in edges))
+    assert count_independent_sets(shuffled) == count_independent_sets(swapped) == 47031666399706112
+
+
 def over_budget_poset() -> Poset:
-    # a random 40+40 height-one poset needs more memo entries than the budget
+    # a random 40+40 height-one poset; the lowest-bit split once used up
+    # the whole memo budget on it
     rng = random.Random(0)
     below = [0] * 40 + [
         sum(1 << u for u in range(40) if rng.random() < 0.1) for _ in range(40)
@@ -116,26 +172,35 @@ def over_budget_poset() -> Poset:
     return Poset(tuple(below))
 
 
-def test_count_rejects_oversized():
-    poset = over_budget_poset()
+def test_memo_budget_defaults_to_2_20():
+    assert MEMO_BUDGET == counting.MEMO_BUDGET == 2**20
+
+
+def test_count_rejects_oversized(monkeypatch):
+    monkeypatch.setattr(counting, "MEMO_BUDGET", 1000)
     message = (
-        f"size bound exceeded: memo budget of {MEMO_BUDGET} entries "
-        f"used up on a poset of 80 elements"
+        "size bound exceeded: memo budget of 1000 entries "
+        "used up on a poset of 80 elements"
     )
     with pytest.raises(SizeLimitError, match=message):
-        count_downsets(poset)
+        count_downsets(over_budget_poset())
 
 
-def test_size_limit_error_names_budget_and_size():
+def test_size_limit_error_names_budget_and_size(monkeypatch):
+    monkeypatch.setattr(counting, "MEMO_BUDGET", 1000)
     with pytest.raises(SizeLimitError) as err:
         count_downsets(over_budget_poset())
-    assert (err.value.budget, err.value.size) == (2**20, 80) == (MEMO_BUDGET, 80)
+    assert (err.value.budget, err.value.size) == (1000, 80)
     assert str(err.value) == (
-        "size bound exceeded: memo budget of 1048576 entries "
+        "size bound exceeded: memo budget of 1000 entries "
         "used up on a poset of 80 elements"
     )
     bare = SizeLimitError("size bound exceeded")
     assert (str(bare), bare.budget, bare.size) == ("size bound exceeded", None, None)
+
+
+def test_count_answers_the_once_refused_poset():
+    assert count_downsets(over_budget_poset()) == 1162091146702848
 
 
 @pytest.mark.parametrize(
@@ -164,9 +229,10 @@ def test_enumerate_islice_zero_is_empty():
     assert list(itertools.islice(enumerate_downsets(antichain(3)), 0)) == []
 
 
-def test_enumerate_counts_nothing_first():
-    # counting this poset uses up the memo budget, so an enumeration that
-    # counted first could not give these three downsets
+def test_enumerate_counts_nothing_first(monkeypatch):
+    # counting this poset uses up a budget of 1000 memo entries, so an
+    # enumeration that counted first could not give these three downsets
+    monkeypatch.setattr(counting, "MEMO_BUDGET", 1000)
     poset = over_budget_poset()
     got = list(itertools.islice(enumerate_downsets(poset), 3))
     assert len(set(got)) == 3
@@ -358,7 +424,13 @@ def test_bipartite_parse_errors():
         ("bis 1 1\nedge 1 1\n", "line 2: expected 'e u v'"),
         ("bis 1 1\ne 1 y\n", "line 2: indices must be integers"),
         ("bis 0 1\n", "both sides must be nonempty"),
-        ("bis 1 1\ne 1 2\n", "edge (1,2) out of range"),
+        ("bis 1 1\ne 1 2\n", "line 2: edge (1,2) out of range"),
+        ("bis 2 1\ne 1 1\n# c\ne 2 1\ne 1 1\n", "line 5: duplicate edge (1,1)"),
+        (
+            "bis 2 1\ne 1 1\n",
+            "graph has 1 isolated vertices; remove them and "
+            "multiply the independent-set count by 2**1",
+        ),
     ):
         with pytest.raises(ParseError) as err:
             parse_bipartite(text)
