@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 
 class ParseError(ValueError):
@@ -211,11 +211,46 @@ def _tagged_pairs(
         raise ParseError(str(exc)) from None
 
 
-def _first_missing(given: Container[int], count: int) -> str:
-    """`count` missing indices, named by the first of them: the smallest
-    from 1 on that `given` lacks, as "3" or "3 and 5 more"."""
-    first = next(i for i in itertools.count(1) if i not in given)
-    return f"{first} and {count - 1} more" if count > 1 else str(first)
+def _indexed_rows(
+    lines: Iterable[tuple[int, str]],
+    tags: Sequence[str],
+    n: int,
+    row: Callable[[list[str]], _T],
+) -> tuple[tuple[_T, ...], ...]:
+    """For each tag in order, the tuple of its rows 1..n: row i is `row`
+    of the tokens of the ``tag i: tokens`` line.  A line of another shape,
+    an index that is not an integer in 1..n, a second line for one tag and
+    index, and a `ValueError` from `row` are `ParseError`s on their line.
+    Missing lines are a `ParseError` that names the first missing index of
+    the first short tag and the count missing over all tags, so nothing
+    sized by n is built before the lines arrive."""
+    form = "|".join(tags)
+    given: dict[str, dict[int, _T]] = {tag: {} for tag in tags}
+    for lineno, line in lines:
+        head, sep, rest = line.partition(":")
+        fields = head.split()
+        if not sep or len(fields) != 2 or fields[0] not in given:
+            raise ParseError(f"expected '{form} i: ...'", lineno)
+        try:
+            idx = int(fields[1])
+        except ValueError:
+            raise ParseError("index must be an integer", lineno) from None
+        if not 1 <= idx <= n:
+            raise ParseError(f"index {idx} out of range 1..{n}", lineno)
+        rows = given[fields[0]]
+        if idx in rows:
+            raise ParseError(f"duplicate {fields[0]} {idx}", lineno)
+        try:
+            rows[idx] = row(rest.split())
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+    count = n * len(tags) - sum(map(len, given.values()))
+    if count:
+        tag, rows = next((tag, rows) for tag, rows in given.items() if len(rows) < n)
+        first = next(i for i in itertools.count(1) if i not in rows)
+        more = f" and {count - 1} more" if count > 1 else ""
+        raise ParseError(f"missing {tag} lines: {first}{more}")
+    return tuple(tuple(rows[i] for i in range(1, n + 1)) for rows in given.values())
 
 
 def parse_instance(text: str) -> Instance:
@@ -235,42 +270,22 @@ def parse_instance(text: str) -> Instance:
         raise ParseError("n must be positive", lineno)
 
     numeral: dict[str, int] = {}  # canonical numerals of 1..n, built on first use
-    men: dict[int, tuple] = {}  # index -> (list, rank row)
-    women: dict[int, tuple] = {}
-    for lineno, line in lines:
-        head, sep, rest = line.partition(":")
-        fields = head.split()
-        if not sep or len(fields) != 2 or fields[0] not in ("m", "w"):
-            raise ParseError("expected 'm i: ...' or 'w j: ...'", lineno)
-        tokens = rest.split()
+
+    def row(tokens: list[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if len(tokens) == n and not numeral:
             numeral.update((str(i), i) for i in range(1, n + 1))
         try:
-            idx = int(fields[1])
+            prefs = tuple(map(numeral.__getitem__, tokens))
+        except KeyError:  # a non-canonical numeral, or a list of another length
             try:
-                prefs = tuple(map(numeral.__getitem__, tokens))
-            except KeyError:  # a non-canonical numeral, or a list of another length
                 prefs = tuple(map(int, tokens))
-        except ValueError:
-            raise ParseError("indices must be integers", lineno) from None
-        if not 1 <= idx <= n:
-            raise ParseError(f"person index {idx} out of range 1..{n}", lineno)
-        target = men if fields[0] == "m" else women
-        if idx in target:
-            raise ParseError(f"duplicate list for {fields[0]} {idx}", lineno)
-        try:
-            target[idx] = prefs, _rank_row(prefs, n)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+            except ValueError:
+                raise ValueError("indices must be integers") from None
+        return prefs, _rank_row(prefs, n)
 
-    count = 2 * n - len(men) - len(women)
-    if count:
-        side, given = ("m", men) if len(men) < n else ("w", women)
-        raise ParseError(
-            f"missing preference lists: {side} {_first_missing(given, count)}"
-        )
-    men_prefs, men_rank = zip(*(men[i] for i in range(1, n + 1)))
-    women_prefs, women_rank = zip(*(women[j] for j in range(1, n + 1)))
+    men, women = _indexed_rows(lines, ("m", "w"), n, row)
+    men_prefs, men_rank = zip(*men)
+    women_prefs, women_rank = zip(*women)
     return Instance._from_checked(n, men_prefs, women_prefs, men_rank, women_rank)
 
 

@@ -234,6 +234,8 @@ def parse_bipartite(text: str) -> BipartiteGraph:
         n1, n2 = int(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError("sizes must be integers", lineno) from None
+    if n1 < 1 or n2 < 1:
+        raise ParseError("sizes must be positive", lineno)
     return _tagged_pairs(lines, "e u v", lambda edges: BipartiteGraph(n1, n2, tuple(edges)))
 
 

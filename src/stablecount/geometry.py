@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .core import Instance, ParseError, _first_missing, _header
+from .core import Instance, ParseError, _header, _indexed_rows
 from .rotations import find_all_rotations
 
 
@@ -581,37 +581,13 @@ def parse_geometric(text: str):
     if n < 1:
         raise ParseError("n must be positive", lineno)
 
-    keys = ("mpos", "mpref", "wpos", "wpref")
-    data: dict[str, dict[int, tuple[Value, ...]]] = {key: {} for key in keys}
-    for lineno, line in lines:
-        head, sep, rest = line.partition(":")
-        fields = head.split()
-        if not sep or len(fields) != 2 or fields[0] not in data:
-            raise ParseError("expected 'mpos|mpref|wpos|wpref i: ...'", lineno)
-        try:
-            idx = int(fields[1])
-        except ValueError:
-            raise ParseError("index must be an integer", lineno) from None
-        if not 1 <= idx <= n:
-            raise ParseError(f"index {idx} out of range 1..{n}", lineno)
-        if idx in data[fields[0]]:
-            raise ParseError(f"duplicate {fields[0]} {idx}", lineno)
-        try:
-            vec = tuple(parse_value(tok) for tok in rest.split())
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+    def row(tokens: list[str]) -> tuple[Value, ...]:
+        vec = tuple(map(parse_value, tokens))
         if len(vec) != k:
-            raise ParseError(f"expected {k} coordinates", lineno)
-        data[fields[0]][idx] = vec
+            raise ValueError(f"expected {k} coordinates")
+        return vec
 
-    def rows(key: str):
-        given = data[key]
-        if len(given) < n:
-            missing = _first_missing(given, n - len(given))
-            raise ParseError(f"missing {key} lines: {missing}")
-        return tuple(given[i] for i in range(1, n + 1))
-
-    blocks = [rows(key) for key in keys]
+    blocks = _indexed_rows(lines, ("mpos", "mpref", "wpos", "wpref"), n, row)
     try:
         return spec_type(k, n, *blocks)
     except ValueError as exc:

@@ -118,11 +118,6 @@ def _trace_rotation(
             return Rotation(tuple(reversed(cycle)))
 
 
-def _scan_starts(inst: Instance, wives: Sequence[int]) -> list[int]:
-    """Each man's suitor scan start: the position just below his wife."""
-    return [rank[w - 1] for rank, w in zip(inst._men_rank, wives)]
-
-
 def find_all_rotations(
     inst: Instance, man_order: tuple[int, ...] | None = None
 ) -> tuple[list[Rotation], Matching, Matching]:
@@ -149,8 +144,9 @@ def find_all_rotations(
     wives = list(mopt.wives)
     husbands = list(mopt.husbands())
     best = wopt.husbands()
-    start = _scan_starts(inst, wives)
     men_rank = inst._men_rank
+    # each man's suitor scan starts at the position just below his wife
+    start = [rank[w - 1] for rank, w in zip(men_rank, wives)]
     rotations: list[Rotation] = []
     chain: dict[int, int] = {}
     first = 0  # every man before order[first] holds his worst stable partner
@@ -229,9 +225,6 @@ class Poset:
 
     def __len__(self) -> int:
         return self.size
-
-    def precedes(self, i: int, j: int) -> bool:
-        return bool(self.below[j] >> i & 1)
 
     def relation_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for j, mask in enumerate(self.below) for i in _bits(mask)]

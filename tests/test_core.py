@@ -52,14 +52,21 @@ def test_parse_rejects_missing_line():
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("n 100000000\n", "missing preference lists: m 1 and 199999999 more"),
+        ("n 100000000\n", "missing m lines: 1 and 199999999 more"),
         ("n 100000000\nm 1: 2 1\n", "line 2: preference list must be a permutation of 1..100000000"),
         ("n 100000000\nm 1: x\n", "line 2: indices must be integers"),
-        ("n 2\nm 1: 1 2\nm 2: 2 1\nw 2: 1 2\n", "missing preference lists: w 1"),
-        ("n 3\nm 2: 1 2 3\nw 3: 1 2 3\n", "missing preference lists: m 1 and 3 more"),
+        ("n 2\nm 1: 1 2\nm 2: 2 1\nw 2: 1 2\n", "missing w lines: 1"),
+        ("n 3\nm 2: 1 2 3\nw 3: 1 2 3\n", "missing m lines: 1 and 3 more"),
+        ("n 2\nm 1: 1 2\nw 2: 1 2\n", "missing m lines: 2 and 1 more"),
         ("n 0\n", "line 1: n must be positive"),
-        ("n 100000000\nx 1: 1\n", "line 2: expected 'm i: ...' or 'w j: ...'"),
-        ("n 100000000\nw 100000001: 1\n", "line 2: person index 100000001 out of range 1..100000000"),
+        ("n 100000000\nx 1: 1\n", "line 2: expected 'm|w i: ...'"),
+        ("n 100000000\n# c\nm 1 1 2\n", "line 3: expected 'm|w i: ...'"),
+        ("n 100000000\nm: 1\n", "line 2: expected 'm|w i: ...'"),
+        ("n 100000000\nw x: 1\n", "line 2: index must be an integer"),
+        ("n 100000000\nw 100000001: 1\n", "line 2: index 100000001 out of range 1..100000000"),
+        ("n 100000000\nm 0: 1\n", "line 2: index 0 out of range 1..100000000"),
+        ("n 1\nw 1: 1\n# c\nw 1: 1\n", "line 4: duplicate w 1"),
+        ("n 2\nm 1: 1 2\nm 2: 2 1\nw 1: 2 1\nm 2: 1 2\n", "line 5: duplicate m 2"),
     ],
 )
 def test_parse_huge_n_is_cheap(text, message):
@@ -157,7 +164,7 @@ def test_parse_reports_permutation_error_before_later_duplicate():
     text = "n 2\nm 1: 1 2\nm 1: 2 1\nw 1: 1 1\nw 2: 1 2\nm 2: 1 2\n"
     with pytest.raises(ParseError) as err:
         parse_instance(text)
-    assert str(err.value) == "line 3: duplicate list for m 1"
+    assert str(err.value) == "line 3: duplicate m 1"
 
 
 def test_parse_ignores_comments_and_blanks():

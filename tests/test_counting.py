@@ -239,7 +239,7 @@ def test_enumerate_counts_nothing_first(monkeypatch):
     for mask in got:
         for x in range(poset.size):
             if mask >> x & 1:
-                assert all(mask >> y & 1 for y in range(poset.size) if poset.precedes(y, x))
+                assert all(mask >> y & 1 for y in range(poset.size) if poset.below[x] >> y & 1)
     got = list(itertools.islice(enumerate_downsets(antichain(21)), 3))
     assert got == [0, 1 << 20, 1 << 19]  # {}, {20}, {19}
 
@@ -362,6 +362,12 @@ def test_graph_rejects_isolated_vertex():
         BipartiteGraph(2, 1, ((1, 1),))
 
 
+def test_graph_rejects_empty_side():
+    with pytest.raises(ValueError) as err:
+        BipartiteGraph(0, 1, ())
+    assert str(err.value) == "both sides must be nonempty"
+
+
 def test_graph_rejects_duplicate_edge():
     with pytest.raises(ValueError, match="duplicate"):
         BipartiteGraph(1, 1, ((1, 1), (1, 1)))
@@ -423,7 +429,7 @@ def test_bipartite_parse_errors():
         ("bis 1 x\ne 1 1\n", "line 1: sizes must be integers"),
         ("bis 1 1\nedge 1 1\n", "line 2: expected 'e u v'"),
         ("bis 1 1\ne 1 y\n", "line 2: indices must be integers"),
-        ("bis 0 1\n", "both sides must be nonempty"),
+        ("bis 0 1\n", "line 1: sizes must be positive"),
         ("bis 1 1\ne 1 2\n", "line 2: edge (1,2) out of range"),
         ("bis 2 1\ne 1 1\n# c\ne 2 1\ne 1 1\n", "line 5: duplicate edge (1,1)"),
         (

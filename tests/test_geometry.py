@@ -733,7 +733,7 @@ def test_1attribute_rotations_are_disjoint_transpositions_in_a_chain():
         for i in range(k):
             for j in range(k):
                 if i != j:
-                    assert rposet.precedes(i, j) or rposet.precedes(j, i)
+                    assert (rposet.below[j] | rposet.above[j]) >> i & 1
 
 
 GEO_TEXT = """\
@@ -791,10 +791,15 @@ def test_parse_geometric_errors():
         ("model cube 1 1\n", "line 1: expected header 'model dot|euclid|1d k n'"),
         ("model dot one 1\n", "line 1: k and n must be integers"),
         ("model dot 1 1\n# c\nmpos: 1\n", "line 3: expected 'mpos|mpref|wpos|wpref i: ...'"),
+        ("model dot 1 1\nm 1: 1\n", "line 2: expected 'mpos|mpref|wpos|wpref i: ...'"),
+        ("model dot 1 1\nmpos 1 1\n", "line 2: expected 'mpos|mpref|wpos|wpref i: ...'"),
         ("model dot 1 1\nmpos x: 1\n", "line 2: index must be an integer"),
         ("model dot 1 1\nmpos 2: 1\n", "line 2: index 2 out of range 1..1"),
+        ("model euclid 1 2\nwpref 0: 1\n", "line 2: index 0 out of range 1..2"),
         ("model dot 1 1\nmpos 1: 1\nmpos 1: 2\n", "line 3: duplicate mpos 1"),
+        ("model dot 1 2\nwpos 2: 1\n\nmpref 1: 1\nwpos 2: x\n", "line 5: duplicate wpos 2"),
         ("model dot 2 1\nmpos 1: 1\n", "line 2: expected 2 coordinates"),
+        ("model dot 1 1\nmpos 1: 1\nwpref 1: 1/0\n", "line 3: division by zero in coordinate token '1/0'"),
     ):
         with pytest.raises(ParseError) as err:
             parse_geometric(text)
@@ -815,10 +820,13 @@ def test_parse_geometric_huge_n_is_cheap():
     with pytest.raises(ParseError) as err:
         parse_geometric("model dot 1 100000000\nmpos 2: 1\n")
     assert time.perf_counter() - start < 1.0
-    assert str(err.value) == "missing mpos lines: 1 and 99999998 more"
+    assert str(err.value) == "missing mpos lines: 1 and 399999998 more"
     with pytest.raises(ParseError) as err:
         parse_geometric("model dot 1 2\nmpos 1: 1\nmpos 2: 1\nmpref 2: 1\n")
-    assert str(err.value) == "missing mpref lines: 1"
+    assert str(err.value) == "missing mpref lines: 1 and 4 more"
+    with pytest.raises(ParseError) as err:
+        parse_geometric("model dot 1 1\nmpos 1: 1\nmpref 1: 1\nwpos 1: 1\n")
+    assert str(err.value) == "missing wpref lines: 1"
 
 
 def test_format_geometric_round_trip():

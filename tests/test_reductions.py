@@ -175,8 +175,7 @@ def test_precedence_structure_of_generated_instances():
 def test_single_edge_poset_is_two_chain():
     rposet = rotation_poset(gen_partial_lists(SINGLE_EDGE))
     assert len(rposet) == 2
-    assert rposet.precedes(0, 1)
-    assert not rposet.precedes(1, 0)
+    assert rposet.below == (0, 1)  # 0 precedes 1
 
 
 def test_stable_pairs_closed_form():
