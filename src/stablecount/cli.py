@@ -19,7 +19,7 @@ from .core import (
     Instance,
     ParseError,
     Side,
-    _header,
+    _content_lines,
     format_instance,
     format_matching,
     parse_instance,
@@ -59,7 +59,7 @@ def _read(path: str) -> str:
 
 def _load_instance(path: str) -> Instance:
     text = _read(path)
-    if _header(text)[1].startswith("model "):
+    if next(_content_lines(text), (0, ""))[1].startswith("model "):
         return induced_instance(parse_geometric(text))
     return parse_instance(text)
 

@@ -169,16 +169,34 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _header(text: str) -> tuple[int, str, Iterator[tuple[int, str]]]:
-    """The line number and text of the first content line, and an
-    iterator over the content lines after it.  An input without content
-    is a `ParseError`."""
+def _header(text: str, form: str) -> tuple[int, list, Iterator[tuple[int, str]]]:
+    """The line number and fields of the header, the first content line,
+    and an iterator over the content lines after it.  `form`, such as
+    ``"model dot|euclid|1d k n"``, names the header's words: the first is
+    the tag, a word with ``|`` is a choice that comes back as its string,
+    and any other word is a size that comes back as an int.  An input
+    without content, a wrong tag, word count or choice, and a size that is
+    not a decimal integer of at least 1 (checked left to right) are
+    `ParseError`s."""
     lines = _content_lines(text)
     try:
         lineno, header = next(lines)
     except StopIteration:
         raise ParseError("empty input") from None
-    return lineno, header, lines
+    words, parts = form.split(), header.split()
+    if len(parts) != len(words) or parts[0] != words[0]:
+        raise ParseError(f"expected header '{form}'", lineno)
+    fields = []
+    for word, part in zip(words[1:], parts[1:]):
+        if "|" in word:
+            if part not in word.split("|"):
+                raise ParseError(f"expected header '{form}'", lineno)
+            fields.append(part)
+        elif part.isdecimal() and int(part) >= 1:
+            fields.append(int(part))
+        else:
+            raise ParseError(f"{word} must be a positive integer", lineno)
+    return lineno, fields, lines
 
 
 _T = TypeVar("_T")
@@ -261,13 +279,7 @@ def parse_instance(text: str) -> Instance:
     blank lines are ignored.  Nothing sized by N is built before a list
     of N entries arrives.
     """
-    lineno, header, lines = _header(text)
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdecimal():
-        raise ParseError("expected header 'n N'", lineno)
-    n = int(parts[1])
-    if n < 1:
-        raise ParseError("n must be positive", lineno)
+    _, (n,), lines = _header(text, "n N")
 
     numeral: dict[str, int] = {}  # canonical numerals of 1..n, built on first use
 

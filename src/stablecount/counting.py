@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, Matching, ParseError, _header, _ItemError, _tagged_pairs
+from .core import Instance, Matching, _header, _ItemError, _tagged_pairs
 from .rotations import Poset, RotationPoset, _bits, rotation_poset
 
 
@@ -170,9 +170,9 @@ def enumerate_stable_matchings(inst: Instance) -> Iterator[Matching]:
 class BipartiteGraph:
     """A bipartite graph on left vertices 1..n1 and right vertices 1..n2.
 
-    Every vertex must be covered by an edge: an isolated vertex sits in
-    every independent set independently of the rest, so callers should
-    drop it and multiply the count by 2 per isolated vertex.
+    A vertex may have no edge: it is in or out of an independent set
+    independently of the rest, so it doubles the count.  The reductions
+    refuse such a vertex (see `reductions.edge_cycles`).
     """
 
     n1: int
@@ -183,21 +183,12 @@ class BipartiteGraph:
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("both sides must be nonempty")
         seen = set()
-        covered1, covered2 = set(), set()
         for i, (u, v) in enumerate(self.edges):
             if not (1 <= u <= self.n1 and 1 <= v <= self.n2):
                 raise _ItemError(f"edge ({u},{v}) out of range", i)
             if (u, v) in seen:
                 raise _ItemError(f"duplicate edge ({u},{v})", i)
             seen.add((u, v))
-            covered1.add(u)
-            covered2.add(v)
-        isolated = (self.n1 - len(covered1)) + (self.n2 - len(covered2))
-        if isolated:
-            raise ValueError(
-                f"graph has {isolated} isolated vertices; remove them and "
-                f"multiply the independent-set count by 2**{isolated}"
-            )
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
     @property
@@ -226,16 +217,7 @@ def count_independent_sets(graph: BipartiteGraph) -> int:
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse a bipartite graph: header ``bis n1 n2`` then ``e u v`` lines."""
-    lineno, header, lines = _header(text)
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "bis":
-        raise ParseError("expected header 'bis n1 n2'", lineno)
-    try:
-        n1, n2 = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError("sizes must be integers", lineno) from None
-    if n1 < 1 or n2 < 1:
-        raise ParseError("sizes must be positive", lineno)
+    _, (n1, n2), lines = _header(text, "bis n1 n2")
     return _tagged_pairs(lines, "e u v", lambda edges: BipartiteGraph(n1, n2, tuple(edges)))
 
 

@@ -49,13 +49,11 @@ DEFAULT_BITS = 128
 class TieDetected(ValueError):
     """Two candidates are exactly tied for one person; the model does not
     induce strict preferences.  ``person`` (such as ``"man 3"``) and the
-    two ``candidates`` open the message when given."""
+    two ``candidates`` open the message."""
 
-    def __init__(self, message: str, person=None, candidates=None) -> None:
-        if person is not None:
-            a, b = candidates = tuple(sorted(candidates))
-            message = f"{person}: candidates {a} and {b} {message}"
-        super().__init__(message)
+    def __init__(self, message: str, person: str, candidates: tuple[int, int]) -> None:
+        a, b = candidates = tuple(sorted(candidates))
+        super().__init__(f"{person}: candidates {a} and {b} {message}")
         self.person, self.candidates = person, candidates
 
 
@@ -565,21 +563,10 @@ def parse_geometric(text: str):
     comments allowed).  Returns an AttributeSpec, EuclideanSpec, or
     OneAttributeSpec depending on the model.
     """
-    lineno, header, lines = _header(text)
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "model" or parts[1] not in _SPECS:
-        raise ParseError("expected header 'model dot|euclid|1d k n'", lineno)
-    spec_type = _SPECS[parts[1]]
-    try:
-        k, n = int(parts[2]), int(parts[3])
-    except ValueError:
-        raise ParseError("k and n must be integers", lineno) from None
+    lineno, (model, k, n), lines = _header(text, f"model {'|'.join(_SPECS)} k n")
+    spec_type = _SPECS[model]
     if spec_type is OneAttributeSpec and k != 1:
         raise ParseError("the 1d model has k = 1", lineno)
-    if k < 1:
-        raise ParseError("k must be positive", lineno)
-    if n < 1:
-        raise ParseError("n must be positive", lineno)
 
     def row(tokens: list[str]) -> tuple[Value, ...]:
         vec = tuple(map(parse_value, tokens))

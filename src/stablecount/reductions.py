@@ -39,7 +39,7 @@ class CyclePair:
     lexicographic (left, right) order.  ``rho`` cycles the labels around
     each left vertex, ``sigma`` around each right vertex; cycles are
     listed in vertex order, each starting at its smallest label, so cycle
-    i belongs to vertex i + 1 (every vertex has an edge).
+    i belongs to vertex i + 1.
     """
 
     n: int
@@ -50,11 +50,19 @@ class CyclePair:
 
 
 def edge_cycles(graph: BipartiteGraph) -> CyclePair:
+    """The edge labelling of the graph.  A vertex with no edge has no
+    cycle, and no rotation stands for it, so it is a `ValueError`."""
     rho_cycles = [[] for _ in range(graph.n1)]
     sigma_cycles = [[] for _ in range(graph.n2)]
     for x, (u, v) in enumerate(graph.edges, start=1):  # sorted lexicographically
         rho_cycles[u - 1].append(x)
         sigma_cycles[v - 1].append(x)
+    isolated = (rho_cycles + sigma_cycles).count([])
+    if isolated:
+        raise ValueError(
+            f"graph has {isolated} isolated vertices; remove them and "
+            f"multiply the independent-set count by 2**{isolated}"
+        )
     n = len(graph.edges)
     rho, sigma = [0] * n, [0] * n
     for cycles, succ in ((rho_cycles, rho), (sigma_cycles, sigma)):

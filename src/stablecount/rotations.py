@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import Instance, Matching, ParseError, Side, _content_lines
+from .core import Instance, Matching, Side, _content_lines, _indexed_rows
 from .gale_shapley import propose_optimal
 
 
@@ -311,30 +311,24 @@ def hasse_dot(poset: RotationPoset) -> str:
 
 
 def parse_rotation(text: str) -> list[Rotation]:
-    """Parse ``rot k: (m1,w1) (m2,w2) ...`` lines, k a positive integer."""
-    out = []
-    for lineno, line in _content_lines(text):
-        head, sep, rest = line.partition(":")
-        parts = head.split()
-        if not (
-            sep and len(parts) == 2 and parts[0] == "rot"
-            and parts[1].isdecimal() and int(parts[1]) >= 1
-        ):
-            raise ParseError("expected 'rot k: (m,w) ...'", lineno)
+    """Parse ``rot k: (m1,w1) (m2,w2) ...`` lines, one for each k in
+    1..R, R the number of lines, and return the rotations in order of k."""
+    lines = list(_content_lines(text))
+
+    def row(tokens: list[str]) -> Rotation:
         pairs = []
-        for tok in rest.split():
+        for tok in tokens:
             if not (tok.startswith("(") and tok.endswith(")")):
-                raise ParseError(f"bad pair token {tok!r}", lineno)
+                raise ValueError(f"bad pair token {tok!r}")
             try:
                 m, w = (int(x) for x in tok[1:-1].split(","))
             except ValueError:
-                raise ParseError(f"bad pair token {tok!r}", lineno) from None
+                raise ValueError(f"bad pair token {tok!r}") from None
             pairs.append((m, w))
-        try:
-            out.append(Rotation(tuple(pairs)))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    return out
+        return Rotation(tuple(pairs))
+
+    (rots,) = _indexed_rows(lines, ("rot",), len(lines), row)
+    return list(rots)
 
 
 def format_rotations(rots: list[Rotation]) -> str:

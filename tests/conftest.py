@@ -210,13 +210,13 @@ def dot_instance_oracle(spec) -> Instance:
     """The instance a dot-product spec induces, with no enclosures: every
     list is sorted by certified pairwise comparison of its scores."""
 
-    def ranking(pref, positions):
+    def ranking(pref, positions, person):
         scores = [pairwise_dot(pref, pos) for pos in positions]
 
         def cmp(a, b):
             c = compare_values(scores[a - 1], scores[b - 1])
             if c == 0:
-                raise TieDetected(f"candidates {a} and {b} score exactly alike")
+                raise TieDetected("score exactly alike", person, (a, b))
             return -c
 
         return tuple(
@@ -225,8 +225,14 @@ def dot_instance_oracle(spec) -> Instance:
 
     return Instance(
         spec.n,
-        tuple(ranking(p, spec.women_pos) for p in spec.men_pref),
-        tuple(ranking(p, spec.men_pos) for p in spec.women_pref),
+        tuple(
+            ranking(p, spec.women_pos, f"man {i}")
+            for i, p in enumerate(spec.men_pref, 1)
+        ),
+        tuple(
+            ranking(p, spec.men_pos, f"woman {j}")
+            for j, p in enumerate(spec.women_pref, 1)
+        ),
     )
 
 

@@ -212,6 +212,21 @@ def test_isets(write, capsys):
     assert capsys.readouterr().out == "29\n"
 
 
+def test_isolated_vertex_counts_but_does_not_reduce(write, capsys):
+    # an isolated vertex doubles the count; only the reductions refuse it
+    bis = write("g.bis", "bis 2 1\ne 1 1\n")
+    assert run(["isets", bis]) == 0
+    assert capsys.readouterr().out == "6\n"
+    for command in ("verify", "gen"):
+        assert run([command, bis]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: graph has 1 isolated vertices; remove them and "
+            "multiply the independent-set count by 2**1\n"
+        )
+
+
 def test_count_1d(write, capsys):
     text = (
         "model 1d 1 2\n"
@@ -489,7 +504,7 @@ def test_geometric_header_rejects_nonpositive_n(write, capsys, command, header):
     assert run([command, path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1: n must be positive\n"
+    assert captured.err == "error: line 1: n must be a positive integer\n"
 
 
 @pytest.mark.parametrize(
@@ -505,7 +520,7 @@ def test_geometric_header_rejects_nonpositive_k(write, capsys, text):
     assert run(["count", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1: k must be positive\n"
+    assert captured.err == "error: line 1: k must be a positive integer\n"
 
 
 def test_usage_error_exits_two(capsys):

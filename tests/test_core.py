@@ -58,7 +58,7 @@ def test_parse_rejects_missing_line():
         ("n 2\nm 1: 1 2\nm 2: 2 1\nw 2: 1 2\n", "missing w lines: 1"),
         ("n 3\nm 2: 1 2 3\nw 3: 1 2 3\n", "missing m lines: 1 and 3 more"),
         ("n 2\nm 1: 1 2\nw 2: 1 2\n", "missing m lines: 2 and 1 more"),
-        ("n 0\n", "line 1: n must be positive"),
+        ("n 0\n", "line 1: N must be a positive integer"),
         ("n 100000000\nx 1: 1\n", "line 2: expected 'm|w i: ...'"),
         ("n 100000000\n# c\nm 1 1 2\n", "line 3: expected 'm|w i: ...'"),
         ("n 100000000\nm: 1\n", "line 2: expected 'm|w i: ...'"),
@@ -82,10 +82,11 @@ def test_parse_huge_n_is_cheap(text, message):
 @pytest.mark.parametrize("size", ["\u00b3", "x", "-1", "2.0", ""])
 def test_parse_pins_bad_header_message(size):
     # a superscript digit passes str.isdigit but not int(), so the header
-    # check must use isdecimal
+    # check must use isdecimal; an empty size leaves a one-word header
     with pytest.raises(ParseError) as err:
         parse_instance(f"n {size}\nm 1: 1\nw 1: 1\n")
-    assert str(err.value) == "line 1: expected header 'n N'"
+    message = "N must be a positive integer" if size else "expected header 'n N'"
+    assert str(err.value) == f"line 1: {message}"
     assert err.value.line == 1
 
 

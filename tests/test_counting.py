@@ -24,6 +24,7 @@ from stablecount import (
     count_downsets,
     count_independent_sets,
     count_stable_matchings,
+    edge_cycles,
     enumerate_downsets,
     enumerate_stable_matchings,
     format_bipartite,
@@ -358,8 +359,15 @@ def test_brute_force_rejects_large_n():
 
 
 def test_graph_rejects_isolated_vertex():
-    with pytest.raises(ValueError, match="isolated"):
-        BipartiteGraph(2, 1, ((1, 1),))
+    # the graph is counted; only the reductions need every vertex on a cycle
+    graph = BipartiteGraph(2, 1, ((1, 1),))
+    assert count_independent_sets(graph) == brute_force_independent_sets(graph) == 6
+    with pytest.raises(ValueError) as err:
+        edge_cycles(graph)
+    assert str(err.value) == (
+        "graph has 1 isolated vertices; remove them and "
+        "multiply the independent-set count by 2**1"
+    )
 
 
 def test_graph_rejects_empty_side():
@@ -412,10 +420,7 @@ def test_independent_sets_match_subset_oracle():
         n2 = rng.randint(1, 4)
         pool = list(itertools.product(range(1, n1 + 1), range(1, n2 + 1)))
         edges = tuple(rng.sample(pool, rng.randint(1, len(pool))))
-        try:
-            g = BipartiteGraph(n1, n2, edges)
-        except ValueError:
-            continue
+        g = BipartiteGraph(n1, n2, edges)  # isolated vertices included
         assert count_independent_sets(g) == brute_force_independent_sets(g)
 
 
@@ -426,17 +431,13 @@ def test_bipartite_text_round_trip():
 def test_bipartite_parse_errors():
     for text, message in (
         ("bis 1\ne 1 1\n", "line 1: expected header 'bis n1 n2'"),
-        ("bis 1 x\ne 1 1\n", "line 1: sizes must be integers"),
+        ("bis 1 x\ne 1 1\n", "line 1: n2 must be a positive integer"),
+        ("bis +1 1\ne 1 1\n", "line 1: n1 must be a positive integer"),
         ("bis 1 1\nedge 1 1\n", "line 2: expected 'e u v'"),
         ("bis 1 1\ne 1 y\n", "line 2: indices must be integers"),
-        ("bis 0 1\n", "line 1: sizes must be positive"),
+        ("bis 0 1\n", "line 1: n1 must be a positive integer"),
         ("bis 1 1\ne 1 2\n", "line 2: edge (1,2) out of range"),
         ("bis 2 1\ne 1 1\n# c\ne 2 1\ne 1 1\n", "line 5: duplicate edge (1,1)"),
-        (
-            "bis 2 1\ne 1 1\n",
-            "graph has 1 isolated vertices; remove them and "
-            "multiply the independent-set count by 2**1",
-        ),
     ):
         with pytest.raises(ParseError) as err:
             parse_bipartite(text)

@@ -789,7 +789,8 @@ def test_parse_geometric_errors():
         parse_geometric(zero)  # the spec type's own check
     for text, message in (
         ("model cube 1 1\n", "line 1: expected header 'model dot|euclid|1d k n'"),
-        ("model dot one 1\n", "line 1: k and n must be integers"),
+        ("model dot one 1\n", "line 1: k must be a positive integer"),
+        ("model dot \u00b3 1\n", "line 1: k must be a positive integer"),
         ("model dot 1 1\n# c\nmpos: 1\n", "line 3: expected 'mpos|mpref|wpos|wpref i: ...'"),
         ("model dot 1 1\nm 1: 1\n", "line 2: expected 'mpos|mpref|wpos|wpref i: ...'"),
         ("model dot 1 1\nmpos 1 1\n", "line 2: expected 'mpos|mpref|wpos|wpref i: ...'"),

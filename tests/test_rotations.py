@@ -65,17 +65,19 @@ def test_rotation_rejects_indices_below_one():
 @pytest.mark.parametrize(
     "text, line, message",
     [
-        ("rotten: (0,-3) (-1,5)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("rotten: (0,-3) (-1,5)\n", 1, "expected 'rot i: ...'"),
         ("rot 1: (0,-3) (-1,5)\n", 1, "rotation indices must be at least 1"),
         ("rot 1: (1,2) (2,1)\nrot 2: (1,1) (2,0)\n", 2,
          "rotation indices must be at least 1"),
-        ("rot 0: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
-        ("rot -1: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
-        ("rot: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
-        ("rot 1 2: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
-        ("rot x: (1,2) (2,1)\n", 1, "expected 'rot k: (m,w) ...'"),
+        ("rot 0: (1,2) (2,1)\n", 1, "index 0 out of range 1..1"),
+        ("rot -1: (1,2) (2,1)\n", 1, "index -1 out of range 1..1"),
+        ("rot: (1,2) (2,1)\n", 1, "expected 'rot i: ...'"),
+        ("rot 1 2: (1,2) (2,1)\n", 1, "expected 'rot i: ...'"),
+        ("rot x: (1,2) (2,1)\n", 1, "index must be an integer"),
         ("# c\nrot 1: (1,2) (2,1)\nrotation 2: (1,1) (2,2)\n", 3,
-         "expected 'rot k: (m,w) ...'"),
+         "expected 'rot i: ...'"),
+        ("rot 1: (1,2) (2,1)\nrot 1: (1,1) (2,2)\n", 2, "duplicate rot 1"),
+        ("rot 1: (1,2) (2,1)\nrot 3: (1,1) (2,2)\n", 2, "index 3 out of range 1..2"),
         ("rot 1: (1,2) 2,1\n", 1, "bad pair token '2,1'"),
         ("rot 1: (1,2) (2,x)\n", 1, "bad pair token '(2,x)'"),
     ],
@@ -335,3 +337,8 @@ def test_truncated_contains_all_stable_partners():
 def test_rotation_text_round_trip():
     rots = [Rotation(((1, 2), (2, 1))), Rotation(((1, 1), (2, 2), (3, 3)))]
     assert parse_rotation(format_rotations(rots)) == rots
+
+
+def test_parse_rotation_orders_by_k():
+    rots = parse_rotation("rot 2: (1,1) (2,2) (3,3)\nrot 1: (1,2) (2,1)\n")
+    assert rots == [Rotation(((1, 2), (2, 1))), Rotation(((1, 1), (2, 2), (3, 3)))]
