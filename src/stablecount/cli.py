@@ -26,11 +26,11 @@ from .core import (
     parse_matching,
 )
 from .counting import (
+    _wives_along,
     count_downsets,
     count_independent_sets,
     count_stable_matchings,
     enumerate_downsets,
-    matching_from_downset,
     parse_bipartite,
 )
 from .gale_shapley import blocking_pairs, propose_optimal
@@ -114,9 +114,12 @@ def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.file)
     rposet = rotation_poset(inst)
     print(f"total {count_downsets(rposet)}")
-    for downset in itertools.islice(enumerate_downsets(rposet), args.limit):
-        matching = matching_from_downset(rposet, downset)
-        print(" ".join(map(str, matching.wives)))
+    numeral = [str(i) for i in range(inst.n + 1)]  # numeral[w] == str(w)
+    walk = _wives_along(rposet, enumerate_downsets(rposet))
+    sys.stdout.writelines(
+        " ".join(map(numeral.__getitem__, wives)) + "\n"
+        for wives in itertools.islice(walk, args.limit)
+    )
     return 0
 
 

@@ -169,6 +169,21 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _decimal(token: str, message: str, lineno: int | None = None) -> int:
+    """The value of `token` if it is all decimal digits, the one form of a
+    number in every input format: `int` alone would also take a sign, an
+    underscore or surrounding space.  Any other token is a `ParseError`
+    with `message` on line `lineno`, and so is a numeral longer than the
+    interpreter's limit on int-string conversion, with a message of its
+    own."""
+    if not token.isdecimal():
+        raise ParseError(message, lineno)
+    try:
+        return int(token)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"a number of {len(token)} digits is too long", lineno) from None
+
+
 def _header(text: str, form: str) -> tuple[int, list, Iterator[tuple[int, str]]]:
     """The line number and fields of the header, the first content line,
     and an iterator over the content lines after it.  `form`, such as
@@ -176,7 +191,7 @@ def _header(text: str, form: str) -> tuple[int, list, Iterator[tuple[int, str]]]
     the tag, a word with ``|`` is a choice that comes back as its string,
     and any other word is a size that comes back as an int.  An input
     without content, a wrong tag, word count or choice, and a size that is
-    not a decimal integer of at least 1 (checked left to right) are
+    not a `_decimal` of at least 1 (checked left to right) are
     `ParseError`s."""
     lines = _content_lines(text)
     try:
@@ -192,10 +207,12 @@ def _header(text: str, form: str) -> tuple[int, list, Iterator[tuple[int, str]]]
             if part not in word.split("|"):
                 raise ParseError(f"expected header '{form}'", lineno)
             fields.append(part)
-        elif part.isdecimal() and int(part) >= 1:
-            fields.append(int(part))
         else:
-            raise ParseError(f"{word} must be a positive integer", lineno)
+            bad = f"{word} must be a positive integer"
+            size = _decimal(part, bad, lineno)
+            if not size:
+                raise ParseError(bad, lineno)
+            fields.append(size)
     return lineno, fields, lines
 
 
@@ -205,21 +222,19 @@ _T = TypeVar("_T")
 def _tagged_pairs(
     lines: Iterable[tuple[int, str]], form: str, build: Callable[[list[tuple[int, int]]], _T]
 ) -> _T:
-    """`build` applied to the two integers of each ``tag a b`` line, for
+    """`build` applied to the two `_decimal`s of each ``tag a b`` line, for
     `form` such as ``"pair m w"`` whose first word is the tag.  A line of
     another shape is a `ParseError` that quotes `form`.  A `ValueError`
     from `build` becomes a `ParseError` too, on the line of its item if it
     is an `_ItemError`."""
     tag = form.split()[0]
+    bad = "indices must be integers"
     pairs, linenos = [], []
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 3 or parts[0] != tag:
             raise ParseError(f"expected '{form}'", lineno)
-        try:
-            pairs.append((int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ParseError("indices must be integers", lineno) from None
+        pairs.append((_decimal(parts[1], bad, lineno), _decimal(parts[2], bad, lineno)))
         linenos.append(lineno)
     try:
         return build(pairs)
@@ -237,7 +252,7 @@ def _indexed_rows(
 ) -> tuple[tuple[_T, ...], ...]:
     """For each tag in order, the tuple of its rows 1..n: row i is `row`
     of the tokens of the ``tag i: tokens`` line.  A line of another shape,
-    an index that is not an integer in 1..n, a second line for one tag and
+    an index that is not a `_decimal` in 1..n, a second line for one tag and
     index, and a `ValueError` from `row` are `ParseError`s on their line.
     Missing lines are a `ParseError` that names the first missing index of
     the first short tag and the count missing over all tags, so nothing
@@ -249,10 +264,7 @@ def _indexed_rows(
         fields = head.split()
         if not sep or len(fields) != 2 or fields[0] not in given:
             raise ParseError(f"expected '{form} i: ...'", lineno)
-        try:
-            idx = int(fields[1])
-        except ValueError:
-            raise ParseError("index must be an integer", lineno) from None
+        idx = _decimal(fields[1], "index must be an integer", lineno)
         if not 1 <= idx <= n:
             raise ParseError(f"index {idx} out of range 1..{n}", lineno)
         rows = given[fields[0]]
@@ -289,10 +301,7 @@ def parse_instance(text: str) -> Instance:
         try:
             prefs = tuple(map(numeral.__getitem__, tokens))
         except KeyError:  # a non-canonical numeral, or a list of another length
-            try:
-                prefs = tuple(map(int, tokens))
-            except ValueError:
-                raise ValueError("indices must be integers") from None
+            prefs = tuple(_decimal(tok, "indices must be integers") for tok in tokens)
         return prefs, _rank_row(prefs, n)
 
     men, women = _indexed_rows(lines, ("m", "w"), n, row)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import Instance, Matching, Side, _content_lines, _indexed_rows
+from .core import Instance, Matching, Side, _content_lines, _decimal, _indexed_rows
 from .gale_shapley import propose_optimal
 
 
@@ -318,13 +318,10 @@ def parse_rotation(text: str) -> list[Rotation]:
     def row(tokens: list[str]) -> Rotation:
         pairs = []
         for tok in tokens:
-            if not (tok.startswith("(") and tok.endswith(")")):
+            parts = tok[1:-1].split(",")
+            if not (tok.startswith("(") and tok.endswith(")")) or len(parts) != 2:
                 raise ValueError(f"bad pair token {tok!r}")
-            try:
-                m, w = (int(x) for x in tok[1:-1].split(","))
-            except ValueError:
-                raise ValueError(f"bad pair token {tok!r}") from None
-            pairs.append((m, w))
+            pairs.append(tuple(_decimal(x, f"bad pair token {tok!r}") for x in parts))
         return Rotation(tuple(pairs))
 
     (rots,) = _indexed_rows(lines, ("rot",), len(lines), row)

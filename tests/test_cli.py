@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from conftest import (
     GRAPH_4X5,
     independent_sets_oracle,
     random_1attribute,
+    random_bipartite,
     random_instance,
 )
 from stablecount import (
@@ -26,6 +28,7 @@ from stablecount import (
     parse_bipartite,
     parse_instance,
     reductions,
+    rotation_poset,
 )
 from stablecount.cli import run
 
@@ -152,6 +155,38 @@ def test_enumerate_rejects_negative_limit(write, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --limit: invalid int value: 'x'" in captured.err
+
+
+def _old_enumerate_output(text, limit):
+    # the walk before consecutive downsets shared one wives array: each
+    # line rebuilt from the man-optimal matching by matching_from_downset
+    rposet = rotation_poset(parse_instance(text))
+    lines = [f"total {counting.count_downsets(rposet)}"]
+    for mask in itertools.islice(counting.enumerate_downsets(rposet), limit):
+        lines.append(" ".join(map(str, counting.matching_from_downset(rposet, mask).wives)))
+    return "\n".join(lines) + "\n"
+
+
+def _shares_a_man(rposet):
+    men = [{m for m, _ in rot.pairs} for rot in rposet.rotations]
+    return any(a & b for a, b in itertools.combinations(men, 2))
+
+
+def test_enumerate_prints_the_downset_walk(write, capsys):
+    rng = random.Random(71)
+    texts = [TRIVIAL_INSTANCE, format_instance(gen_partial_lists(GRAPH_3X4))]
+    texts += [format_instance(random_instance(rng, rng.randint(2, 12))) for _ in range(30)]
+    texts += [format_instance(gen_partial_lists(random_bipartite(rng, 6))) for _ in range(15)]
+    shared = 0
+    for text in texts:
+        rposet = rotation_poset(parse_instance(text))
+        shared += _shares_a_man(rposet)
+        total = counting.count_downsets(rposet)
+        path = write("inst.txt", text)
+        for limit in (0, 1, total + 3):
+            assert run(["enumerate", "--limit", str(limit), path]) == 0
+            assert capsys.readouterr().out == _old_enumerate_output(text, limit)
+    assert shared >= 15  # undo order matters only when rotations share a man
 
 
 def test_count_past_64_rotations(write, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -11,6 +12,8 @@ from stablecount import (
     ParseError,
     format_instance,
     format_matching,
+    parse_bipartite,
+    parse_geometric,
     parse_instance,
     parse_matching,
 )
@@ -65,6 +68,8 @@ def test_parse_rejects_missing_line():
         ("n 100000000\nw x: 1\n", "line 2: index must be an integer"),
         ("n 100000000\nw 100000001: 1\n", "line 2: index 100000001 out of range 1..100000000"),
         ("n 100000000\nm 0: 1\n", "line 2: index 0 out of range 1..100000000"),
+        ("n 100000000\nm +1: 1\n", "line 2: index must be an integer"),
+        ("n 100000000\n# c\nw 1_0: 1\n", "line 3: index must be an integer"),
         ("n 1\nw 1: 1\n# c\nw 1: 1\n", "line 4: duplicate w 1"),
         ("n 2\nm 1: 1 2\nm 2: 2 1\nw 1: 2 1\nm 2: 1 2\n", "line 5: duplicate m 2"),
     ],
@@ -90,6 +95,24 @@ def test_parse_pins_bad_header_message(size):
     assert err.value.line == 1
 
 
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="the interpreter reads numerals of any length")
+@pytest.mark.parametrize(
+    "parse, header",
+    [(parse_instance, "n {}"), (parse_bipartite, "bis 1 {}"), (parse_geometric, "model dot 1 {}")],
+    ids=["n", "bis", "model"],
+)
+def test_header_size_past_the_int_string_limit(parse, header):
+    # isdecimal() passes and int() refuses: the size's line stays on the error
+    digits = _INT_DIGITS + 1
+    with pytest.raises(ParseError) as err:
+        parse("# c\n" + header.format("1" * digits) + "\n")
+    assert str(err.value) == f"line 2: a number of {digits} digits is too long"
+    assert err.value.line == 2
+
+
 def test_parse_rejects_out_of_range():
     with pytest.raises(ParseError):
         parse_instance("n 1\nm 1: 2\nw 1: 1\n")
@@ -113,10 +136,12 @@ def _lists_500():
     [
         (["0"], "preference list must be a permutation of 1..500"),
         (["501"], "preference list must be a permutation of 1..500"),
-        (["-1"], "preference list must be a permutation of 1..500"),
+        (["-1"], "indices must be integers"),
         (["x"], "indices must be integers"),
         (["2"], "preference list must be a permutation of 1..500"),  # 2 twice
         ([], "preference list must be a permutation of 1..500"),  # 1 missing
+        (["+1"], "indices must be integers"),
+        (["1_0"], "indices must be integers"),
     ],
 )
 def test_parse_pins_bad_token_message_and_line(head, message):
@@ -131,7 +156,7 @@ def test_parse_pins_bad_token_message_and_line(head, message):
 def test_parse_reads_non_canonical_numerals():
     men, women = _lists_500()
     men[1][2] = "03"
-    women[4][2] = "+3"
+    women[4][2] = "\u0663"  # ARABIC-INDIC DIGIT THREE, a decimal digit like the header's
     inst = parse_instance(_instance_text(500, men, women))
     assert inst.men_prefs[1][2] == inst.women_prefs[4][2] == 3
     assert inst == Instance(500, (tuple(range(1, 501)),) * 500, (tuple(range(1, 501)),) * 500)
@@ -150,7 +175,7 @@ def test_parsed_rank_tables_match_constructor():
         assert parsed == inst
         assert _ranks(parsed) == _ranks(Instance(n, inst.men_prefs, inst.women_prefs))
     men, women = [["2", "1", "3"], ["1", "2", "3"], ["3", "2", "1"]], [["1", "3", "2"]] * 3
-    men[0][2], women[1][1] = "03", "+3"
+    men[0][2], women[1][1] = "03", "\u0663"
     parsed = parse_instance(_instance_text(3, men, women))
     lists = [tuple(map(int, lst)) for lst in men], [tuple(map(int, lst)) for lst in women]
     assert _ranks(parsed) == _ranks(Instance(3, *lists))
@@ -269,6 +294,8 @@ def test_matching_parse_rejects_incomplete():
         ("pair 1 1\npair 1 2\n", "line 2: man 1 matched twice"),
         ("pair 1 2\n\n# c\npair 2 3\n", "line 4: pair (2,3) out of range 1..2"),
         ("pair 1 1\npair 2 1\n", "matching must pair every man with a distinct woman"),
+        ("pair 1 1\npair +2 2\n", "line 2: indices must be integers"),
+        ("pair 1 -1\n", "line 1: indices must be integers"),
     ],
 )
 def test_parse_matching_pins_messages(text, message):

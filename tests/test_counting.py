@@ -28,6 +28,7 @@ from stablecount import (
     enumerate_downsets,
     enumerate_stable_matchings,
     format_bipartite,
+    gen_partial_lists,
     matching_from_downset,
     parse_bipartite,
     poset_from_bipartite,
@@ -330,6 +331,18 @@ def test_enumerate_stable_equals_brute_force():
         assert propose_optimal(inst, Side.WOMAN) in got
 
 
+def test_enumerate_stable_follows_the_downset_walk():
+    # each matching moves from the last by the rotations that change, and
+    # equals the one rebuilt from the man-optimal matching, in walk order
+    rng = random.Random(61)
+    insts = [random_instance(rng, rng.randint(1, 9)) for _ in range(20)]
+    insts += [gen_partial_lists(random_bipartite(rng, 7)) for _ in range(20)]
+    for inst in insts:
+        rposet = rotation_poset(inst)
+        want = [matching_from_downset(rposet, mask) for mask in enumerate_downsets(rposet)]
+        assert list(enumerate_stable_matchings(inst)) == want
+
+
 def test_pipeline_solves_each_side_once(monkeypatch):
     original = gale_shapley.propose_optimal
     solves = []
@@ -435,6 +448,8 @@ def test_bipartite_parse_errors():
         ("bis +1 1\ne 1 1\n", "line 1: n1 must be a positive integer"),
         ("bis 1 1\nedge 1 1\n", "line 2: expected 'e u v'"),
         ("bis 1 1\ne 1 y\n", "line 2: indices must be integers"),
+        ("bis 1 1\ne +1 1\n", "line 2: indices must be integers"),
+        ("bis 1 1\n# c\ne 1 -1\n", "line 3: indices must be integers"),
         ("bis 0 1\n", "line 1: n1 must be a positive integer"),
         ("bis 1 1\ne 1 2\n", "line 2: edge (1,2) out of range"),
         ("bis 2 1\ne 1 1\n# c\ne 2 1\ne 1 1\n", "line 5: duplicate edge (1,1)"),

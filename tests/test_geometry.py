@@ -795,6 +795,7 @@ def test_parse_geometric_errors():
         ("model dot 1 1\nm 1: 1\n", "line 2: expected 'mpos|mpref|wpos|wpref i: ...'"),
         ("model dot 1 1\nmpos 1 1\n", "line 2: expected 'mpos|mpref|wpos|wpref i: ...'"),
         ("model dot 1 1\nmpos x: 1\n", "line 2: index must be an integer"),
+        ("model dot 1 1\nmpos +1: 1\n", "line 2: index must be an integer"),
         ("model dot 1 1\nmpos 2: 1\n", "line 2: index 2 out of range 1..1"),
         ("model euclid 1 2\nwpref 0: 1\n", "line 2: index 0 out of range 1..2"),
         ("model dot 1 1\nmpos 1: 1\nmpos 1: 2\n", "line 3: duplicate mpos 1"),

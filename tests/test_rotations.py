@@ -66,11 +66,11 @@ def test_rotation_rejects_indices_below_one():
     "text, line, message",
     [
         ("rotten: (0,-3) (-1,5)\n", 1, "expected 'rot i: ...'"),
-        ("rot 1: (0,-3) (-1,5)\n", 1, "rotation indices must be at least 1"),
+        ("rot 1: (0,-3) (-1,5)\n", 1, "bad pair token '(0,-3)'"),
         ("rot 1: (1,2) (2,1)\nrot 2: (1,1) (2,0)\n", 2,
          "rotation indices must be at least 1"),
         ("rot 0: (1,2) (2,1)\n", 1, "index 0 out of range 1..1"),
-        ("rot -1: (1,2) (2,1)\n", 1, "index -1 out of range 1..1"),
+        ("rot -1: (1,2) (2,1)\n", 1, "index must be an integer"),
         ("rot: (1,2) (2,1)\n", 1, "expected 'rot i: ...'"),
         ("rot 1 2: (1,2) (2,1)\n", 1, "expected 'rot i: ...'"),
         ("rot x: (1,2) (2,1)\n", 1, "index must be an integer"),
@@ -80,6 +80,9 @@ def test_rotation_rejects_indices_below_one():
         ("rot 1: (1,2) (2,1)\nrot 3: (1,1) (2,2)\n", 2, "index 3 out of range 1..2"),
         ("rot 1: (1,2) 2,1\n", 1, "bad pair token '2,1'"),
         ("rot 1: (1,2) (2,x)\n", 1, "bad pair token '(2,x)'"),
+        ("rot 1: (1,2) (2,1,3)\n", 1, "bad pair token '(2,1,3)'"),
+        ("rot +1: (1,2) (2,1)\n", 1, "index must be an integer"),
+        ("rot 1: (1,2) (2,1)\nrot 2: (+1,1) (2,2)\n", 2, "bad pair token '(+1,1)'"),
     ],
 )
 def test_parse_rotation_rejects_bad_heads_and_indices(text, line, message):
