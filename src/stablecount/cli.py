@@ -114,7 +114,7 @@ def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.file)
     rposet = rotation_poset(inst)
     print(f"total {count_downsets(rposet)}")
-    numeral = [str(i) for i in range(inst.n + 1)]  # numeral[w] == str(w)
+    numeral = [str(i) for i in range(inst.n + 1)]
     walk = _wives_along(rposet, enumerate_downsets(rposet))
     sys.stdout.writelines(
         " ".join(map(numeral.__getitem__, wives)) + "\n"
