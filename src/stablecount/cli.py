@@ -20,6 +20,7 @@ from .core import (
     ParseError,
     Side,
     _content_lines,
+    _decimal,
     format_instance,
     format_matching,
     parse_instance,
@@ -65,10 +66,8 @@ def _load_instance(path: str) -> Instance:
 
 
 def _parse_tau(arg: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in arg.split(","))
-    except ValueError:
-        raise ParseError(f"bad permutation {arg!r}; expected e.g. 2,1,3") from None
+    bad = f"bad permutation {arg!r}; expected e.g. 2,1,3"
+    return tuple(_decimal(tok, bad) for tok in arg.split(","))
 
 
 def _cmd_solve(args) -> int:
@@ -177,12 +176,13 @@ def _cmd_verify(args) -> int:
 
 
 def _limit(text: str) -> int:
+    # the numbers of the file formats, with a minus sign named as such
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        value = _decimal(text.removeprefix("-"), f"invalid int value: {text!r}")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if text.startswith("-"):
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
     return value
 
 

@@ -170,13 +170,13 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def _decimal(token: str, message: str, lineno: int | None = None) -> int:
-    """The value of `token` if it is all decimal digits, the one form of a
-    number in every input format: `int` alone would also take a sign, an
-    underscore or surrounding space.  Any other token is a `ParseError`
-    with `message` on line `lineno`, and so is a numeral longer than the
-    interpreter's limit on int-string conversion, with a message of its
-    own."""
-    if not token.isdecimal():
+    """The value of `token` if it is all ASCII digits 0-9, the one form of
+    a number in every input format: `int` alone would also take a sign, an
+    underscore, surrounding space or another script's digits.  Any other
+    token is a `ParseError` with `message` on line `lineno`, and so is a
+    numeral longer than the interpreter's limit on int-string conversion,
+    with a message of its own."""
+    if not (token.isascii() and token.isdecimal()):
         raise ParseError(message, lineno)
     try:
         return int(token)

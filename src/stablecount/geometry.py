@@ -285,7 +285,8 @@ _RAT = r"-?\d+(?:/\d+)?"
 _TOKEN_RE = re.compile(
     rf"^(?:(?P<rat>-?\d+\.\d+|{_RAT})"
     rf"|(?P<trig>cos|sin)\((?P<arg>{_RAT})\)"
-    rf"|pow\((?P<base>{_RAT}),(?P<exp>-?\d+)\))$"
+    rf"|pow\((?P<base>{_RAT}),(?P<exp>-?\d+)\))$",
+    re.ASCII,  # \d is 0-9 only, as for every number in the formats
 )
 
 

@@ -142,6 +142,33 @@ def gen_partial_lists(
     return Instance(3 * n, tuple(men), tuple(women))
 
 
+def _placed(cp: CyclePair, slot) -> tuple[tuple, tuple, tuple, tuple]:
+    """The mpos, mpref, wpos and wpref of a geometric realization, placed
+    label by label.  ``slot(cycles, i, m, key)`` gives the three positions
+    and three preference vectors of label m of cycle i of one side's
+    `cycles`, in the role order below; `key` is the label of the third
+    position's person, rho x on the sigma side and x on the rho side."""
+    n = cp.n
+    mpos, mpref, wpos, wpref = ([None] * (3 * n) for _ in range(4))
+    for on_sigma, cycles in ((True, cp.sigma_cycles), (False, cp.rho_cycles)):
+        pos, pref = (wpos, mpref) if on_sigma else (mpos, wpref)
+        for i, cyc in enumerate(cycles):
+            for m, x in enumerate(cyc):
+                prev = cyc[m - 1]
+                if on_sigma:  # positions c_prev, a_x, b_{rho x}; preferences C_prev, B_x, A_x
+                    key = cp.rho[x - 1]
+                    at, of = (2 * n + prev, x, n + key), (2 * n + prev, n + x, x)
+                else:  # positions A_prev, B_x, C_x; preferences b_x, a_x, c_x
+                    key = x
+                    at, of = (prev, n + x, 2 * n + x), (n + x, x, 2 * n + x)
+                positions, prefs = slot(cycles, i, m, key)
+                for person, value in zip(at, positions):
+                    pos[person - 1] = value
+                for person, value in zip(of, prefs):
+                    pref[person - 1] = value
+    return tuple(mpos), tuple(mpref), tuple(wpos), tuple(wpref)
+
+
 def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
     """Realize the construction with 3-dimensional dot products.
 
@@ -189,45 +216,20 @@ def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
             cos_phi,
         )
 
-    size = 3 * n
-    wpos = [None] * size
-    mpref = [None] * size
-    mpos = [None] * size
-    wpref = [None] * size
+    def slot(cycles, i, m, key):
+        turn = Fraction(1, n * n * (7 * len(cycles[i]) - 1))  # theta, or omega on the rho side
+        base = Fraction(i, len(cycles))
 
-    l = len(cp.sigma_cycles)
-    for i, cyc in enumerate(cp.sigma_cycles, start=1):
-        p = len(cyc)
-        theta = Fraction(1, n * n * (7 * p - 1))
-        base = Fraction(i - 1, l)
-        for m, x in enumerate(cyc):
-            prev = cyc[m - 1]  # sigma^(m-1) of the representative
-            wpos[x - 1] = circle(base + (7 * m + 4) * theta, zero)  # a_x
-            wpos[n + cp.rho[x - 1] - 1] = circle(  # b_{rho x}
-                base + (7 * m + 6) * theta,
-                Value.rational(Fraction(4) ** cp.rho[x - 1]),
-            )
-            wpos[2 * n + prev - 1] = circle(base + 7 * m * theta, zero)  # c_prev
-            mpref[x - 1] = circle(base + (7 * m + r14) * theta, zero)
-            mpref[n + x - 1] = tilted(base + (7 * m + r4) * theta)  # B_x
-            mpref[2 * n + prev - 1] = circle(base + (7 * m + r8) * theta, zero)
-    k = len(cp.rho_cycles)
-    for i, cyc in enumerate(cp.rho_cycles, start=1):
-        q = len(cyc)
-        omega = Fraction(1, n * n * (7 * q - 1))
-        base = Fraction(i - 1, k)
-        for m, x in enumerate(cyc):
-            prev = cyc[m - 1]
-            mpos[prev - 1] = circle(base + 7 * m * omega, zero)  # A_prev
-            mpos[n + x - 1] = circle(base + (7 * m + 4) * omega, zero)  # B_x
-            mpos[2 * n + x - 1] = circle(  # C_x
-                base + (7 * m + 6) * omega,
-                Value.rational(Fraction(4) ** x),
-            )
-            wpref[x - 1] = tilted(base + (7 * m + r4) * omega)  # a_x
-            wpref[n + x - 1] = circle(base + (7 * m + r8) * omega, zero)
-            wpref[2 * n + x - 1] = circle(base + (7 * m + r14) * omega, zero)
-    return AttributeSpec(3, size, tuple(mpos), tuple(mpref), tuple(wpos), tuple(wpref))
+        def angle(offset):
+            return base + (7 * m + offset) * turn
+
+        return (
+            (circle(angle(0), zero), circle(angle(4), zero),
+             circle(angle(6), Value.rational(Fraction(4) ** key))),
+            (circle(angle(r8), zero), tilted(angle(r4)), circle(angle(r14), zero)),
+        )
+
+    return AttributeSpec(3, 3 * n, *_placed(cp, slot))
 
 
 def gen_2euclidean(graph: BipartiteGraph) -> EuclideanSpec:
@@ -256,39 +258,15 @@ def gen_2euclidean(graph: BipartiteGraph) -> EuclideanSpec:
     nudge = eps / 7
     big = Fraction(1000**n)
     zero = Fraction(0)
-    size = 3 * n
-    wpos = [None] * size
-    mpref = [None] * size
-    mpos = [None] * size
-    wpref = [None] * size
 
-    offset = 0
-    for cyc in cp.sigma_cycles:
-        p = len(cyc)
-        for h, x in enumerate(cyc):
-            prev = cyc[h - 1]
-            s = offset + h + 1
-            wpos[x - 1] = (Fraction(s), zero)  # a_x
-            wpos[n + cp.rho[x - 1] - 1] = (zero, Fraction(s))  # b_{rho x}
-            wpos[2 * n + prev - 1] = (s - Fraction(7, 10), zero)  # c_prev
-            mpref[x - 1] = (s + nudge, s - eps)  # A_x
-            mpref[n + x - 1] = (s + nudge, big)  # B_x
-            mpref[2 * n + prev - 1] = (s - Fraction(4, 10) + nudge, zero)  # C_prev
-        offset += 2 * p
-    offset = 0
-    for cyc in cp.rho_cycles:
-        q = len(cyc)
-        for h, x in enumerate(cyc):
-            prev = cyc[h - 1]
-            t = offset + h + 1
-            mpos[prev - 1] = (t - Fraction(7, 10), zero)  # A_prev
-            mpos[n + x - 1] = (Fraction(t), zero)  # B_x
-            mpos[2 * n + x - 1] = (zero, Fraction(t))  # C_x
-            wpref[x - 1] = (t + nudge, big)  # a_x
-            wpref[n + x - 1] = (t - Fraction(4, 10) + nudge, zero)  # b_x
-            wpref[2 * n + x - 1] = (t + nudge, t - eps)  # c_x
-        offset += 2 * q
-    return EuclideanSpec(2, size, tuple(mpos), tuple(mpref), tuple(wpos), tuple(wpref))
+    def slot(cycles, i, m, key):
+        s = 2 * sum(map(len, cycles[:i])) + m + 1
+        return (
+            ((s - Fraction(7, 10), zero), (Fraction(s), zero), (zero, Fraction(s))),
+            ((s - Fraction(4, 10) + nudge, zero), (s + nudge, big), (s + nudge, s - eps)),
+        )
+
+    return EuclideanSpec(2, 3 * n, *_placed(cp, slot))
 
 
 # The three routes from a graph to its instance or geometric spec, by

@@ -151,10 +151,12 @@ def test_enumerate_rejects_negative_limit(write, capsys):
     assert "argument --limit: must be non-negative, got -1" in captured.err
     assert run(["enumerate", "--limit", "0", path]) == 0
     assert capsys.readouterr().out == "total 29\n"
-    assert run(["enumerate", "--limit", "x", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --limit: invalid int value: 'x'" in captured.err
+    # the number rule of the file formats, not int()'s
+    for limit in ("x", "1_0", " 1", "+1", "\u0661", "\uff11"):
+        assert run(["enumerate", "--limit", limit, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --limit: invalid int value: {limit!r}" in captured.err
 
 
 def _old_enumerate_output(text, limit):
@@ -330,10 +332,11 @@ def test_gen_tau_permutes_lists_b_block(write, capsys):
     assert run(["gen", "--model", "lists", "--tau", "2,1", bis]) == 0
     inst = parse_instance(capsys.readouterr().out)
     assert inst.men_prefs[2][:2] == (3, 4)  # B_1 ranks b_tau(2), b_tau(1) first
-    assert run(["gen", "--model", "lists", "--tau", "garbage", bis]) == 1
-    assert capsys.readouterr().err == (
-        "error: bad permutation 'garbage'; expected e.g. 2,1,3\n"
-    )
+    for tau in ("garbage", " 2,+1", "2,1 ", "+2,1", "2,1_0", "\u0662,1"):
+        assert run(["gen", "--model", "lists", "--tau", tau, bis]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad permutation {tau!r}; expected e.g. 2,1,3\n"
+        )
 
 
 # sha256 of the full `gen` stdout on GRAPH_3X4 (49, 97 and 97 lines)
@@ -341,6 +344,13 @@ GEN_3X4_SHA256 = {
     "lists": "dab745ba71d006d01ad28e3af1f316676b0ae520d8cf5075d6c414ddd4eacb8b",
     "attr3": "1ddaadee5326abcb39668cc11873aa978f8c38e6980a1fb0361c596be494b544",
     "euclid2": "5e263c3e04421e3a2601c86d2688275682f27401b3da12559ac84a8535593b4b",
+}
+# sha256 of the concatenated `gen` stdout on six random graphs (seed 0, 2 to
+# 7 edges) whose rho cycles have lengths 1 to 3 and sigma cycles 1, 2, 4, 5
+GEN_SWEEP_SHA256 = {
+    "lists": "0f3b6cdf19819a9b5ad29efada75391f53305cc5f083b9eef1a7519040460232",
+    "attr3": "66a83f633c10e96b3d290233bbb623e1a56a37386d666d4fb7a06570715664d7",
+    "euclid2": "e018486477e9ab7f16d8c1ece3a8d712d0276cc063d1660b0d1075da8a06bef0",
 }
 GEN_PATH = {
     "lists": (
@@ -429,6 +439,13 @@ def test_gen_output_is_pinned(write, capsys, model):
     bis = write("path.bis", "bis 2 1\ne 1 1\ne 2 1\n")
     assert run(["gen", "--model", model, bis]) == 0
     assert capsys.readouterr().out == GEN_PATH[model]
+    sweep = hashlib.sha256()
+    rng = random.Random(0)
+    for _ in range(6):
+        bis = write("g.bis", format_bipartite(random_bipartite(rng, 7, 2)))
+        assert run(["gen", "--model", model, bis]) == 0
+        sweep.update(capsys.readouterr().out.encode())
+    assert sweep.hexdigest() == GEN_SWEEP_SHA256[model]
 
 
 VERIFY_PASSED = (

@@ -16,6 +16,7 @@ from stablecount import (
     parse_geometric,
     parse_instance,
     parse_matching,
+    parse_rotation,
 )
 
 
@@ -95,6 +96,27 @@ def test_parse_pins_bad_header_message(size):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_instance, "n \u0662\n", "line 1: N must be a positive integer"),
+        (parse_instance, "n 3\n# c\nm 1: 1 2 \u0663\n", "line 3: indices must be integers"),
+        (parse_instance, "n 3\nw \u0661: 1 2 3\n", "line 2: index must be an integer"),
+        (parse_bipartite, "bis \uff12 1\n", "line 1: n1 must be a positive integer"),
+        (parse_bipartite, "bis 1 1\ne \u0968 1\n", "line 2: indices must be integers"),
+        (parse_rotation, "# c\nrot \u0661: (1,2) (2,1)\n", "line 2: index must be an integer"),
+        (parse_rotation, "rot 1: (\u0661,2) (2,1)\n", "line 1: bad pair token '(\u0661,2)'"),
+        (parse_matching, "pair 1 1\npair \u0661 2\n", "line 2: indices must be integers"),
+    ],
+    ids=["n", "entry", "index", "bis", "e", "rot", "rot-pair", "pair"],
+)
+def test_numbers_are_ascii_digits(parse, text, message):
+    # other scripts' decimal digits pass str.isdecimal and int(), and are refused
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 _INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
@@ -156,7 +178,7 @@ def test_parse_pins_bad_token_message_and_line(head, message):
 def test_parse_reads_non_canonical_numerals():
     men, women = _lists_500()
     men[1][2] = "03"
-    women[4][2] = "\u0663"  # ARABIC-INDIC DIGIT THREE, a decimal digit like the header's
+    women[4][2] = "003"
     inst = parse_instance(_instance_text(500, men, women))
     assert inst.men_prefs[1][2] == inst.women_prefs[4][2] == 3
     assert inst == Instance(500, (tuple(range(1, 501)),) * 500, (tuple(range(1, 501)),) * 500)
@@ -175,7 +197,7 @@ def test_parsed_rank_tables_match_constructor():
         assert parsed == inst
         assert _ranks(parsed) == _ranks(Instance(n, inst.men_prefs, inst.women_prefs))
     men, women = [["2", "1", "3"], ["1", "2", "3"], ["3", "2", "1"]], [["1", "3", "2"]] * 3
-    men[0][2], women[1][1] = "03", "\u0663"
+    men[0][2], women[1][1] = "03", "003"
     parsed = parse_instance(_instance_text(3, men, women))
     lists = [tuple(map(int, lst)) for lst in men], [tuple(map(int, lst)) for lst in women]
     assert _ranks(parsed) == _ranks(Instance(3, *lists))

@@ -802,6 +802,12 @@ def test_parse_geometric_errors():
         ("model dot 1 2\nwpos 2: 1\n\nmpref 1: 1\nwpos 2: x\n", "line 5: duplicate wpos 2"),
         ("model dot 2 1\nmpos 1: 1\n", "line 2: expected 2 coordinates"),
         ("model dot 1 1\nmpos 1: 1\nwpref 1: 1/0\n", "line 3: division by zero in coordinate token '1/0'"),
+        # numbers are ASCII digits, though \d and Fraction take other scripts' digits
+        ("model dot \u0661 1\n", "line 1: k must be a positive integer"),
+        ("model dot 1 1\n# c\nmpos \u0661: 1\n", "line 3: index must be an integer"),
+        ("model dot 1 1\nmpos 1: \u0663/\u0664\n", "line 2: bad coordinate token '\u0663/\u0664'"),
+        ("model dot 1 1\nmpos 1: cos(\u0661/5)\n", "line 2: bad coordinate token 'cos(\u0661/5)'"),
+        ("model dot 1 1\nmpos 1: pow(2,\u0663)\n", "line 2: bad coordinate token 'pow(2,\u0663)'"),
     ):
         with pytest.raises(ParseError) as err:
             parse_geometric(text)
