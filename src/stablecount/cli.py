@@ -21,6 +21,7 @@ from .core import (
     Side,
     _content_lines,
     _decimal,
+    _pair_lines,
     format_instance,
     format_matching,
     parse_instance,
@@ -80,8 +81,7 @@ def _cmd_solve(args) -> int:
 def _cmd_blocking(args) -> int:
     inst = _load_instance(args.file)
     matching = parse_matching(_read(args.matching), inst.n)
-    for m, w in blocking_pairs(inst, matching):
-        print(f"block {m} {w}")
+    sys.stdout.write(_pair_lines("block", blocking_pairs(inst, matching)))
     return 0
 
 
@@ -98,8 +98,8 @@ def _cmd_poset(args) -> int:
         sys.stdout.write(hasse_dot(poset))
     else:
         sys.stdout.write(format_rotations(list(poset.rotations)))
-        for i, j in poset.relation_pairs():
-            print(f"prec {i + 1} {j + 1}")
+        prec = ((i + 1, j + 1) for i, j in poset.relation_pairs())
+        sys.stdout.write(_pair_lines("prec", prec))
     return 0
 
 
@@ -196,44 +196,35 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_):
         sub = subs.add_parser(name, help=help_)
         sub.set_defaults(func=func)
+        sub.add_argument("file")
         return sub
 
     sub = add("solve", _cmd_solve, "side-optimal stable matching")
     sub.add_argument("--side", choices=("men", "women"), default="men")
-    sub.add_argument("file")
 
     sub = add("blocking", _cmd_blocking, "blocking pairs of a matching")
-    sub.add_argument("file")
     sub.add_argument("matching")
 
-    sub = add("rotations", _cmd_rotations, "all rotations in elimination order")
-    sub.add_argument("file")
+    add("rotations", _cmd_rotations, "all rotations in elimination order")
 
     sub = add("poset", _cmd_poset, "rotation poset (or its Hasse diagram as DOT)")
     sub.add_argument("--dot", action="store_true")
-    sub.add_argument("file")
 
-    sub = add("count", _cmd_count, "number of stable matchings")
-    sub.add_argument("file")
+    add("count", _cmd_count, "number of stable matchings")
 
     sub = add("enumerate", _cmd_enumerate, "list stable matchings")
     sub.add_argument("--limit", type=_limit, default=1000)
-    sub.add_argument("file")
 
-    sub = add("count-1d", _cmd_count_1d, "count stable matchings of a 1d model")
-    sub.add_argument("file")
+    add("count-1d", _cmd_count_1d, "count stable matchings of a 1d model")
 
-    sub = add("isets", _cmd_isets, "independent sets of a bipartite graph")
-    sub.add_argument("file")
+    add("isets", _cmd_isets, "independent sets of a bipartite graph")
 
     sub = add("gen", _cmd_gen, "instance or geometric spec from a bipartite graph")
     sub.add_argument("--model", choices=tuple(MODELS), default="lists")
     sub.add_argument("--tau", default=None)
-    sub.add_argument("file")
 
     sub = add("verify", _cmd_verify, "check the reduction on a graph (or directory)")
     sub.add_argument("--model", choices=tuple(MODELS), default="lists")
-    sub.add_argument("file")
 
     return parser
 

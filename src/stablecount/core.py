@@ -163,7 +163,11 @@ class Matching:
 
 
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """The numbered lines that keep text once ``#`` comments are cut.  A
+    line ends only at \\n, \\r\\n or \\r, not at a form feed and the like."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -244,6 +248,11 @@ def _tagged_pairs(
         raise ParseError(str(exc)) from None
 
 
+def _pair_lines(tag: str, pairs: Iterable[tuple[int, int]]) -> str:
+    """The ``tag a b`` lines of `pairs`, as `_tagged_pairs` reads them."""
+    return "".join(f"{tag} {a} {b}\n" for a, b in pairs)
+
+
 def _indexed_rows(
     lines: Iterable[tuple[int, str]],
     tags: Sequence[str],
@@ -283,6 +292,16 @@ def _indexed_rows(
     return tuple(tuple(rows[i] for i in range(1, n + 1)) for rows in given.values())
 
 
+def _indexed_lines(blocks: Iterable[tuple[str, Iterable[Iterable[object]]]]) -> str:
+    """The ``tag i: tokens`` lines of ``(tag, rows)`` pairs, as `_indexed_rows`
+    reads them: row i, counted from 1, holds the tokens, written with `str`."""
+    return "".join(
+        f"{tag} {i}: {' '.join(map(str, row))}\n"
+        for tag, rows in blocks
+        for i, row in enumerate(rows, start=1)
+    )
+
+
 def parse_instance(text: str) -> Instance:
     """Parse an instance.
 
@@ -311,12 +330,8 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_instance(inst: Instance) -> str:
-    out = [f"n {inst.n}"]
-    for i, lst in enumerate(inst.men_prefs, start=1):
-        out.append(f"m {i}: " + " ".join(map(str, lst)))
-    for j, lst in enumerate(inst.women_prefs, start=1):
-        out.append(f"w {j}: " + " ".join(map(str, lst)))
-    return "\n".join(out) + "\n"
+    blocks = (("m", inst.men_prefs), ("w", inst.women_prefs))
+    return f"n {inst.n}\n" + _indexed_lines(blocks)
 
 
 def parse_matching(text: str, n: int | None = None) -> Matching:
@@ -329,4 +344,4 @@ def parse_matching(text: str, n: int | None = None) -> Matching:
 
 
 def format_matching(matching: Matching) -> str:
-    return "".join(f"pair {m} {w}\n" for m, w in matching.pairs())
+    return _pair_lines("pair", matching.pairs())

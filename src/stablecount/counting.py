@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Instance, Matching, _header, _ItemError, _tagged_pairs
+from .core import Instance, Matching, _header, _ItemError, _pair_lines, _tagged_pairs
 from .rotations import Poset, RotationPoset, _bits, rotation_poset
 
 
@@ -260,6 +260,4 @@ def parse_bipartite(text: str) -> BipartiteGraph:
 
 
 def format_bipartite(graph: BipartiteGraph) -> str:
-    out = [f"bis {graph.n1} {graph.n2}"]
-    out += [f"e {u} {v}" for u, v in graph.edges]
-    return "\n".join(out) + "\n"
+    return f"bis {graph.n1} {graph.n2}\n" + _pair_lines("e", graph.edges)

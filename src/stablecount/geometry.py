@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .core import Instance, ParseError, _header, _indexed_rows
+from .core import Instance, ParseError, _header, _indexed_lines, _indexed_rows
 from .rotations import find_all_rotations
 
 
@@ -587,11 +587,9 @@ def format_geometric(spec) -> str:
     if not isinstance(spec, _VectorSpec):
         raise TypeError(f"not a geometric spec: {spec!r}")
     blocks = (spec.men_pos, spec.men_pref, spec.women_pos, spec.women_pref)
-    out = [f"model {spec.model} {spec.k} {spec.n}"]
-    for key, rows in zip(("mpos", "mpref", "wpos", "wpref"), blocks):
-        for i, vec in enumerate(rows, start=1):
-            out.append(f"{key} {i}: " + " ".join(map(str, vec)))
-    return "\n".join(out) + "\n"
+    return f"model {spec.model} {spec.k} {spec.n}\n" + _indexed_lines(
+        zip(("mpos", "mpref", "wpos", "wpref"), blocks)
+    )
 
 
 def induced_instance(spec) -> Instance:

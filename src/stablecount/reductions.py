@@ -84,6 +84,18 @@ def _complete(prefix: list[int], total: int) -> tuple[int, ...]:
     return tuple(prefix) + tuple(p for p in range(1, total + 1) if p not in seen)
 
 
+def _cycle_prefixes(cycles, first, second):
+    """Each label x of each cycle with its list prefix ``first(x),
+    second(x)``; the last label of a cycle walks the cycle back between
+    the two, ``second(y), first(y)`` for every earlier label y."""
+    for cyc in cycles:
+        *rest, last = cyc
+        for x in rest:
+            yield x, [first(x), second(x)]
+        back = [p for y in reversed(rest) for p in (second(y), first(y))]
+        yield last, [first(last), *back, second(last)]
+
+
 def gen_partial_lists(
     graph: BipartiteGraph, tau: tuple[int, ...] | None = None
 ) -> Instance:
@@ -112,34 +124,17 @@ def gen_partial_lists(
     cblock = [C(j) for j in range(n, 0, -1)]  # C_n .. C_1
 
     for x in range(1, n + 1):
-        men[A(x) - 1] = _complete([a(x), b(cp.rho[x - 1])], 3 * n)
-        men[C(x) - 1] = _complete([c(x), a(cp.sigma[x - 1])], 3 * n)
-        women[c(x) - 1] = _complete([B(x), C(x)], 3 * n)
-    for cyc in cp.sigma_cycles:
-        p = len(cyc)
-        for m in range(p - 1):
-            x = cyc[m]
-            men[B(x) - 1] = _complete(bblock + [a(x), c(x)], 3 * n)
-        x = cyc[p - 1]
-        tail = [a(x)]
-        for m in range(p - 2, -1, -1):
-            tail += [c(cyc[m]), a(cyc[m])]
-        tail.append(c(x))
-        men[B(x) - 1] = _complete(bblock + tail, 3 * n)
-    for cyc in cp.rho_cycles:
-        q = len(cyc)
-        for m, y in enumerate(cyc):
-            women[b(y) - 1] = _complete([A(cyc[m - 1]), B(y)], 3 * n)  # A_{rho^-1 y}
-        for m in range(q - 1):
-            y = cyc[m]
-            women[a(y) - 1] = _complete(cblock + [B(y), A(y)], 3 * n)
-        y = cyc[q - 1]
-        tail = [B(y)]
-        for m in range(q - 2, -1, -1):
-            tail += [A(cyc[m]), B(cyc[m])]
-        tail.append(A(y))
-        women[a(y) - 1] = _complete(cblock + tail, 3 * n)
-    return Instance(3 * n, tuple(men), tuple(women))
+        rx = cp.rho[x - 1]
+        men[A(x) - 1] = [a(x), b(rx)]
+        men[C(x) - 1] = [c(x), a(cp.sigma[x - 1])]
+        women[b(rx) - 1] = [A(x), B(rx)]
+        women[c(x) - 1] = [B(x), C(x)]
+    for x, prefix in _cycle_prefixes(cp.sigma_cycles, a, c):
+        men[B(x) - 1] = bblock + prefix
+    for y, prefix in _cycle_prefixes(cp.rho_cycles, B, A):
+        women[a(y) - 1] = cblock + prefix
+    men, women = (tuple(_complete(p, 3 * n) for p in side) for side in (men, women))
+    return Instance(3 * n, men, women)
 
 
 def _placed(cp: CyclePair, slot) -> tuple[tuple, tuple, tuple, tuple]:

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import Instance, Matching, Side, _content_lines, _decimal, _indexed_rows
+from .core import (
+    Instance, Matching, Side, _content_lines, _decimal, _indexed_lines, _indexed_rows
+)
 from .gale_shapley import propose_optimal
 
 
@@ -329,8 +331,5 @@ def parse_rotation(text: str) -> list[Rotation]:
 
 
 def format_rotations(rots: list[Rotation]) -> str:
-    lines = []
-    for idx, rot in enumerate(rots, start=1):
-        body = " ".join(f"({m},{w})" for m, w in rot.pairs)
-        lines.append(f"rot {idx}: {body}")
-    return "\n".join(lines) + "\n" if lines else ""
+    rows = ([f"({m},{w})" for m, w in rot.pairs] for rot in rots)
+    return _indexed_lines([("rot", rows)])

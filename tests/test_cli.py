@@ -99,12 +99,33 @@ def test_count_single_edge_instance(write, capsys):
     assert capsys.readouterr().out == "3\n"
 
 
+# three matchings by two rotations that share man 1
+THREE_BY_THREE = (
+    "n 3\nm 1: 3 1 2\nm 2: 2 1 3\nm 3: 1 3 2\nw 1: 2 1 3\nw 2: 1 3 2\nw 3: 2 3 1\n"
+)
+
+
 def test_rotations_and_poset(write, capsys):
     path = write("inst.txt", format_instance(gen_partial_lists(parse_bipartite(SINGLE_EDGE_BIS))))
+    rots = "rot 1: (1,1) (2,2)\nrot 2: (2,1) (3,3)\n"
     assert run(["rotations", path]) == 0
-    out = capsys.readouterr().out
-    assert out.count("rot") == 2
+    assert capsys.readouterr().out == rots
     assert run(["poset", path]) == 0
+    assert capsys.readouterr().out == rots + "prec 1 2\n"
+    path = write("three.txt", THREE_BY_THREE)
+    rots = "rot 1: (1,3) (3,1)\nrot 2: (1,1) (2,2)\n"
+    assert run(["rotations", path]) == 0
+    assert capsys.readouterr().out == rots
+    assert run(["poset", path]) == 0
+    assert capsys.readouterr().out == rots + "prec 1 2\n"
+
+
+def test_comment_ends_only_at_a_newline(capsys, monkeypatch):
+    # a form feed inside a comment does not turn the rest of it into an edge
+    text = "bis 2 2\ne 1 1\ne 2 2\n# dropped:\fe 1 2\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(["isets", "-"]) == 0
+    assert capsys.readouterr().out == "9\n"
 
 
 def test_gen_then_poset_dot_node_count(write, capsys):
@@ -337,6 +358,17 @@ def test_gen_tau_permutes_lists_b_block(write, capsys):
         assert capsys.readouterr().err == (
             f"error: bad permutation {tau!r}; expected e.g. 2,1,3\n"
         )
+
+
+# sha256 of the full `gen --model lists --tau 3,1,4,8,5,2,7,6` stdout on GRAPH_3X4
+GEN_TAU_3X4_SHA256 = "d5748428e140a3f07a2629d9bd9b9a6af9720be1d7884d0074209bd830832781"
+
+
+def test_gen_tau_pins_the_whole_instance(write, capsys):
+    bis = write("g.bis", format_bipartite(GRAPH_3X4))
+    assert run(["gen", "--model", "lists", "--tau", "3,1,4,8,5,2,7,6", bis]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_TAU_3X4_SHA256
 
 
 # sha256 of the full `gen` stdout on GRAPH_3X4 (49, 97 and 97 lines)
@@ -578,6 +610,27 @@ def test_geometric_header_rejects_nonpositive_k(write, capsys, text):
 def test_usage_error_exits_two(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+USAGE = {
+    "solve": "[-h] [--side {men,women}] file",
+    "blocking": "[-h] file matching",
+    "rotations": "[-h] file",
+    "poset": "[-h] [--dot] file",
+    "count": "[-h] file",
+    "enumerate": "[-h] [--limit LIMIT] file",
+    "count-1d": "[-h] file",
+    "isets": "[-h] file",
+    "gen": "[-h] [--model {lists,attr3,euclid2}] [--tau TAU] file",
+    "verify": "[-h] [--model {lists,attr3,euclid2}] file",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_usage_line_of_each_subcommand(command, capsys):
+    assert run([command, "--help"]) == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage == f"usage: stablecount {command} {USAGE[command]}"
 
 
 def test_tie_detection_exits_one(write, capsys):

@@ -220,6 +220,30 @@ def test_parse_ignores_comments_and_blanks():
     assert parse_instance(text).n == 1
 
 
+# every character other than \n and \r at which str.splitlines ends a line
+SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SPLITLINES_ONLY)
+def test_lines_end_only_at_newline_or_return(sep):
+    # the rest of a comment after the character is still comment
+    text = f"n 1\nm 1: 1\n# note{sep}w 1: 2\nw 1: 1\n"
+    assert parse_instance(text) == Instance(1, ((1,),), ((1,),))
+    # and the character starts no line, so line numbers match an editor's
+    text = f"# head{sep}er\nbis 2 2\n\ne 1 1\n\ne 1 x\n"
+    with pytest.raises(ParseError) as err:
+        parse_bipartite(text)
+    assert str(err.value) == "line 6: indices must be integers"
+
+
+def test_lines_end_at_each_newline_convention():
+    for eol in ("\n", "\r\n", "\r"):
+        text = eol.join(["n 1", "m 1: 1 # c", "", "w 1: x", ""])
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert str(err.value) == "line 4: indices must be integers"
+
+
 def test_format_round_trip():
     inst = parse_instance(SMALL)
     assert parse_instance(format_instance(inst)) == inst

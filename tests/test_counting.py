@@ -438,7 +438,11 @@ def test_independent_sets_match_subset_oracle():
 
 
 def test_bipartite_text_round_trip():
-    assert parse_bipartite(format_bipartite(GRAPH_3X4)) == GRAPH_3X4
+    text = format_bipartite(GRAPH_3X4)
+    assert text == (
+        "bis 3 4\ne 1 1\ne 1 2\ne 1 4\ne 2 2\ne 2 3\ne 2 4\ne 3 1\ne 3 4\n"
+    )
+    assert parse_bipartite(text) == GRAPH_3X4
 
 
 def test_bipartite_parse_errors():

@@ -340,6 +340,8 @@ def test_truncated_contains_all_stable_partners():
 def test_rotation_text_round_trip():
     rots = [Rotation(((1, 2), (2, 1))), Rotation(((1, 1), (2, 2), (3, 3)))]
     assert parse_rotation(format_rotations(rots)) == rots
+    assert format_rotations(rots) == "rot 1: (1,2) (2,1)\nrot 2: (1,1) (2,2) (3,3)\n"
+    assert format_rotations([]) == ""
 
 
 def test_parse_rotation_orders_by_k():
