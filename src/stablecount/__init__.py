@@ -2,10 +2,11 @@
 
 The package computes stable matchings and their rotation structure,
 counts and enumerates stable matchings through the downset bijection,
-builds instances from geometric preference models with certified
-comparisons, and generates count-preserving instances from bipartite
-graphs (so counting stable matchings is as hard as counting bipartite
-independent sets — and easy again in the one-attribute model).
+builds instances from geometric preference models with rational
+coordinates, compared exactly as integers, and generates count-preserving
+instances from bipartite graphs (so counting stable matchings is as hard
+as counting bipartite independent sets — and easy again in the
+one-attribute model).
 """
 
 from .core import (
@@ -38,8 +39,6 @@ from .geometry import (
     EuclideanSpec,
     OneAttributeSpec,
     TieDetected,
-    Value,
-    compare_values,
     count_1attribute,
     format_geometric,
     induced_instance,

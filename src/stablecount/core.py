@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -162,13 +163,28 @@ class Matching:
 # -- textual formats ---------------------------------------------------
 
 
+# the ASCII characters that str.split() splits at, besides space, tab and
+# the line ends; every other such character is outside ASCII
+_ASCII_ODD_SPACES = "\v\f\x1c\x1d\x1e\x1f"
+_ODD_SPACE = re.compile(r"[^\S \t]")
+_ODD_TOKEN = re.compile(r"[^ \t]*[^\S \t][^ \t]*")
+
+
 def _content_lines(text: str) -> Iterator[tuple[int, str]]:
     """The numbered lines that keep text once ``#`` comments are cut.  A
-    line ends only at \\n, \\r\\n or \\r, not at a form feed and the like."""
+    line ends only at \\n, \\r\\n or \\r, not at a form feed and the like,
+    and tokens are separated only by spaces and tabs: any other whitespace
+    outside a comment is a `ParseError` on its line that quotes its token.
+    C-level scans of the whole text find such whitespace anywhere, in
+    comments too; only then is each line searched."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    odd = not text.isascii() or any(c in text for c in _ASCII_ODD_SPACES)
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0]
+        if odd and _ODD_SPACE.search(line):
+            raise ParseError(f"bad token {_ODD_TOKEN.search(line).group()!r}", lineno)
+        line = line.strip()
         if line:
             yield lineno, line
 

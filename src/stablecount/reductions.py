@@ -21,13 +21,13 @@ built for a concrete graph, compares it with the graph's own poset
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .core import Instance, Matching
 from .counting import BipartiteGraph, count_downsets, poset_from_bipartite
-from .geometry import AttributeSpec, EuclideanSpec, Value, induced_instance
+from .geometry import AttributeSpec, EuclideanSpec, induced_instance
 from .rotations import _bits, rotation_poset
 
 
@@ -164,50 +164,125 @@ def _placed(cp: CyclePair, slot) -> tuple[tuple, tuple, tuple, tuple]:
     return tuple(mpos), tuple(mpref), tuple(wpos), tuple(wpref)
 
 
+@functools.lru_cache(maxsize=None)
+def _pi_interval(bits: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= pi * 2**bits <= hi and hi - lo <= 2.
+
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) at w = bits + 32: J
+    floored terms of arctan(1/n) * 2**w and the alternating tail after the
+    first zero term are off by less than J + 1, so the total by err << 2**31.
+    """
+    w = bits + 32
+    total = err = 0
+    for weight, n in ((16, 5), (-4, 239)):
+        power, j = (1 << w) // n, 0
+        while power:
+            term = power // (2 * j + 1)
+            total += -weight * term if j & 1 else weight * term
+            power //= n * n
+            j += 1
+        err += abs(weight) * (j + 1)
+    return (total - err) >> 32, -((-total - err) >> 32)
+
+
+@functools.lru_cache(maxsize=None)
+def _cos_interval(a: int, b: int, bits: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= cos(2*pi*a/b) * 2**bits <= hi and
+    hi - lo <= 2, for 0 <= a/b < 1/4.
+
+    At w = bits + 20, 2*pi*a/b lies in [x, x + d] / 2**w, s = x / 2**w
+    < pi/2, y = floor(x**2 / 2**w).  The Taylor terms of cos(s) * 2**w are
+    T_k = floor(T_(k-1) y / (2**w (2k-1) 2k)) from T_0 = 2**w: T_1 is short
+    by less than 3/2, each later one by less than 1 + 1/9 plus 1/4 of the
+    shortfall before, so by less than 2, as is the Lagrange remainder at
+    the first zero term T_N.  So the sum is within 2N + d of the cosine at
+    any bits, below 2**19 (so hi - lo <= 2) for bits up to about 10**5.
+    """
+    w = bits + 20
+    pi_lo, pi_hi = _pi_interval(w)
+    x = 2 * a * pi_lo // b
+    d = -(-2 * a * pi_hi // b) - x
+    y = x * x >> w
+    term = total = 1 << w
+    k = 0
+    while term:
+        k += 1
+        term = (term * y >> w) // ((2 * k - 1) * 2 * k)
+        total += -term if k & 1 else term
+    err = 2 * k + d
+    return (total - err) >> 20, -((-total - err) >> 20)
+
+
+def _cos(turns: Fraction, bits: int) -> int:
+    """An integer within 2 of cos(2*pi*turns) * 2**bits."""
+    a, b = turns.numerator % turns.denominator, turns.denominator
+    if 2 * a > b:
+        a = b - a  # cos is even
+    if 4 * a > b:
+        return -_cos(Fraction(b - 2 * a, 2 * b), bits)  # cos(q) = -cos(1/2 - q)
+    return _cos_interval(a, b, bits)[0] if 4 * a < b else 0
+
+
 def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
     """Realize the construction with 3-dimensional dot products.
 
-    People sit on or near the unit circle in the x-y plane, spread in
-    per-vertex angular groups of width eps = (a full turn)/n^2; b-women
-    and C-men carry huge z-coordinates 4^x that only the (mostly-z)
-    preference vectors of B-men and a-women respond to.  Requires n >= 2:
-    with a single edge the group spacing degenerates.
+    People sit on the unit circle in the x-y plane.  Each side's c cycles
+    get arcs of 1/n^2 turns starting at i/c, and label m of a cycle of
+    length l owns the angles from 7m theta on, theta = 1/(n^2 (7l - 1))
+    turns (omega on the rho side).  Its three positions sit at offsets 0,
+    4 theta and 6 theta, the last with z = 4^key; its preference vectors
+    point at 8 theta/5, 14 theta/3 and, tilted phi = 1/100 turn out of the
+    plane as (sin phi cos t, sin phi sin t, cos phi), at 4 theta.  Requires
+    n >= 2: with a single edge an arc is the whole circle.
 
-    Every preference angle is nudged by theta/P (omega/P on the rho side),
-    P the smallest prime above 7n.  A preference at angle t scores a
-    candidate at angle u as cos(t - u) (times sin(phi) for the tilted ones)
-    plus a z-term that sets candidates of different z far apart, so two
-    candidates tie exactly only when u1 = u2 or 2t = u1 + u2 (mod 1).  No
-    two candidates share an angle, and every other denominator in play
-    divides 15 l n^2 (7p - 1) with l, p <= n, whose factors are below P;
-    P is odd, so 2t has P in its denominator and u1 + u2 cannot.  The
-    nudge, at most theta/17, stays inside the margin of every order the
-    construction needs: theta/10 for a C-man's a-woman before a b-woman
-    (and a b-woman's B-man before a C-man), where it moves towards the
-    first, and theta/3 or more elsewhere.
+    The tilted vectors, held by B-men and a-women, rank candidates of
+    different z by z: their z-terms differ by at least 3 cos phi > 2.9 and
+    their plane terms by less than 4 sin phi < 0.3.  Every other order is
+    by angle: a plane vector scores a candidate at angular distance d as
+    cos(2 pi d), and for d1 < d2 <= 1/2,
+
+        cos(2 pi d1) - cos(2 pi d2) = 2 sin(pi (d1 + d2)) sin(pi (d2 - d1))
+                                    >= 2 sin(pi (d2 - d1))**2 >= 8 (d2 - d1)**2.
+
+    Of every pair the construction orders, the distances differ by at
+    least theta/5, which is a C-man's a-woman before the b-woman of the
+    label before (12 theta/5 against 13 theta/5, and a b-woman's B-man
+    before a C-man alike), by 2 theta/3 or more elsewhere, and by theta or
+    more for a tilted vector's candidates of equal z.  So every needed
+    score gap is at least 8 theta^2/25, or sin phi * 8 theta^2 > theta^2/2.
+
+    Each coordinate is an integer over 2^b, within eps = 2^(r-b) of its
+    real value, where 2^r > 3n: the cosines are rounded within 2^-(b-1)
+    and then moved to a residue class mod 2^(r-b).  A product of two
+    coordinates of magnitude at most 1 moves by at most 2 eps + eps^2, and
+    a score by less than 5 eps (the z-terms of candidates of equal z are
+    equal), so a needed order holds when 10 eps < 8 theta^2/25, that is
+    2^(b-r) > 125/(4 theta^2).  As 1/theta < 7n^3 and 125 * 49/4 < 2^11,
+    b = r + 11 + 6 bitlen(n) suffices.
+
+    No two candidates score exactly alike for anyone.  Every preference
+    vector's x is an odd multiple of 2^-b and its y and z are multiples
+    of 2^(r-b); candidate j's x is j * 2^-b mod 2^(r-b).  So in units of
+    2^-2b, two candidates' scores differ by an odd number times their
+    index difference, mod 2^r, which is not zero as 0 < |j - j'| < 2^r.
     """
     cp = edge_cycles(graph)
     n = cp.n
     if n < 2:
         raise ValueError("the 3-attribute construction needs at least 2 edges")
-    prime = 7 * n + 1
-    while any(prime % d == 0 for d in range(2, isqrt(prime) + 1)):
-        prime += 1
-    nudge = Fraction(1, prime)
-    # preference offsets from the group start, in units of theta or omega
-    r4, r8, r14 = 4 + nudge, Fraction(8, 5) + nudge, Fraction(14, 3) + nudge
+    r = (3 * n).bit_length()
+    bits = r + 11 + 6 * n.bit_length()
+    w = bits + 4  # the tilted products are rounded from w bits
     phi = Fraction(1, 100)  # tilt of the z-heavy preference vectors, in turns
-    sin_phi = Value.trig("sin", phi)
-    cos_phi = Value.trig("cos", phi)
-    zero = Value.ZERO
+    sin_phi, cos_phi = _cos(Fraction(1, 4) - phi, w), _cos(phi, bits)
 
-    def circle(turns: Fraction, z: Value) -> tuple[Value, Value, Value]:
-        return (Value.trig("cos", turns), Value.trig("sin", turns), z)
+    def circle(turns: Fraction, z: int = 0) -> tuple[int, int, int]:
+        return (_cos(turns, bits), _cos(Fraction(1, 4) - turns, bits), z << bits)
 
-    def tilted(turns: Fraction) -> tuple[Value, Value, Value]:
+    def tilted(turns: Fraction) -> tuple[int, int, int]:
         return (
-            sin_phi * Value.trig("cos", turns),
-            sin_phi * Value.trig("sin", turns),
+            sin_phi * _cos(turns, w) >> w + 4,
+            sin_phi * _cos(Fraction(1, 4) - turns, w) >> w + 4,
             cos_phi,
         )
 
@@ -219,12 +294,26 @@ def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
             return base + (7 * m + offset) * turn
 
         return (
-            (circle(angle(0), zero), circle(angle(4), zero),
-             circle(angle(6), Value.rational(Fraction(4) ** key))),
-            (circle(angle(r8), zero), tilted(angle(r4)), circle(angle(r14), zero)),
+            (circle(angle(0)), circle(angle(4)), circle(angle(6), 4**key)),
+            (circle(angle(Fraction(8, 5))), tilted(angle(4)), circle(angle(Fraction(14, 3)))),
         )
 
-    return AttributeSpec(3, 3 * n, *_placed(cp, slot))
+    def near(x: int, modulus: int = 1, residue: int = 0) -> Fraction:
+        # the integer nearest x in the residue class, over 2**bits
+        y = x - (x - residue) % modulus
+        return Fraction(y + modulus if 2 * (x - y) > modulus else y, 1 << bits)
+
+    mpos, mpref, wpos, wpref = _placed(cp, slot)
+
+    def positions(block):
+        return [(near(x, 1 << r, j), near(y), near(z)) for j, (x, y, z) in enumerate(block, 1)]
+
+    def preferences(block):
+        return [(near(x, 2, 1), near(y, 1 << r), near(z, 1 << r)) for x, y, z in block]
+
+    return AttributeSpec(
+        3, 3 * n, positions(mpos), preferences(mpref), positions(wpos), preferences(wpref)
+    )
 
 
 def gen_2euclidean(graph: BipartiteGraph) -> EuclideanSpec:

@@ -11,7 +11,6 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 from stablecount import (
     BipartiteGraph,
@@ -23,14 +22,12 @@ from stablecount import (
     SizeLimitError,
     TieDetected,
     blocking_pairs,
-    compare_values,
     enumerate_stable_matchings,
     find_all_rotations,
     is_stable,
     propose_optimal,
     rotation_poset,
 )
-from stablecount.geometry import Value
 
 
 def random_instance(rng: random.Random, n: int) -> Instance:
@@ -168,56 +165,25 @@ def independent_sets_oracle(graph: BipartiteGraph) -> int:
     return one_sided_independent_sets(graph)
 
 
-def _add_cos(acc: dict, c: Fraction, a: int, b: int) -> None:
-    # add c * cos(2*pi*a/b) to acc, keyed by its angle folded into [0, 1/4)
-    a %= b
-    if 2 * a > b:
-        a = b - a  # cos is even
-    if 4 * a > b:
-        a, b, c = b - 2 * a, 2 * b, -c  # cos(q) = -cos(1/2 - q)
-    elif 4 * a == b:
-        return  # cos(1/4) = 0
-    g = gcd(a, b)
-    key = (a // g, b // g)
-    if key[1] == 6:
-        key, c = (0, 1), c / 2  # cos(1/6) = 1/2
-    acc[key] = acc.get(key, 0) + c
-
-
-def fraction_dot(u, v) -> Value:
-    """A dot product in Fraction coefficients: every product of two terms
-    is c1 c2 / 2 times the cosines of the angles' difference and sum."""
-    acc = {}
+def pairwise_dot(u, v) -> Fraction:
+    """A dot product in Fractions, summed coordinate by coordinate."""
+    total = Fraction(0)
     for x, y in zip(u, v):
-        for c1, a1, b1 in x.terms:
-            for c2, a2, b2 in y.terms:
-                c = c1 * c2 / 2
-                p, q, b = a1 * b2, a2 * b1, b1 * b2
-                _add_cos(acc, c, p - q, b)
-                _add_cos(acc, c, p + q, b)
-    return Value(tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c))
-
-
-def pairwise_dot(u, v) -> Value:
-    """A dot product summed coordinate by coordinate, one merge per step."""
-    total = Value.ZERO
-    for x, y in zip(u, v):
-        total = total + fraction_dot((x,), (y,))
+        total += x * y
     return total
 
 
 def dot_instance_oracle(spec) -> Instance:
-    """The instance a dot-product spec induces, with no enclosures: every
-    list is sorted by certified pairwise comparison of its scores."""
+    """The instance a dot-product spec induces, with no scaling: every list
+    is sorted by pairwise comparison of its Fraction scores."""
 
     def ranking(pref, positions, person):
         scores = [pairwise_dot(pref, pos) for pos in positions]
 
         def cmp(a, b):
-            c = compare_values(scores[a - 1], scores[b - 1])
-            if c == 0:
+            if scores[a - 1] == scores[b - 1]:
                 raise TieDetected("score exactly alike", person, (a, b))
-            return -c
+            return -1 if scores[a - 1] > scores[b - 1] else 1
 
         return tuple(
             sorted(range(1, len(scores) + 1), key=functools.cmp_to_key(cmp))

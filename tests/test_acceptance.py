@@ -10,6 +10,7 @@ run after them (pytest's default file order does this).
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -49,7 +50,6 @@ from stablecount import (
     verify_reduction,
 )
 from stablecount.cli import run
-from stablecount.geometry import Value
 
 
 TOUCHED = []  # instances accumulated for the structural-invariant sweep
@@ -163,8 +163,7 @@ def test_6_structural_invariants():
 
 
 def test_7_tie_detection(tmp_path, capsys):
-    one = Value.rational(1)
-    two = Value.rational(2)
+    one, two = Fraction(1), Fraction(2)
     spec_args = dict(
         men_pos=((one, two), (two, one)),
         men_pref=((one, one), (one, two)),

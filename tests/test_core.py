@@ -236,6 +236,27 @@ def test_lines_end_only_at_newline_or_return(sep):
     assert str(err.value) == "line 6: indices must be integers"
 
 
+# whitespace that str.split() separates tokens at, besides space and tab
+OTHER_SPACES = ["\u3000", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f", "\v", "\f", "\x85"]
+
+
+@pytest.mark.parametrize("space", OTHER_SPACES)
+def test_tokens_split_only_at_space_and_tab(space):
+    # inside a comment the character is free, outside it is a bad token
+    text = f"n 2\nm 1:\t2 1 # a{space}note\nm 2: 1{space}2\nw 1: 1 2\nw 2: 2 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert str(err.value) == f"line 3: bad token {'1' + space + '2'!r}"
+    with pytest.raises(ParseError) as err:
+        parse_bipartite(f"bis 1 1\ne 1{space}1\n")
+    assert str(err.value) == f"line 2: bad token {'1' + space + '1'!r}"
+    # at the end of a line too, where strip() would drop it
+    with pytest.raises(ParseError) as err:
+        parse_instance(f"n 1{space}\nm 1: 1\nw 1: 1\n")
+    assert str(err.value) == f"line 1: bad token {'1' + space!r}"
+    assert parse_instance(text.replace(f"1{space}2", "1 \t2")).n == 2
+
+
 def test_lines_end_at_each_newline_convention():
     for eol in ("\n", "\r\n", "\r"):
         text = eol.join(["n 1", "m 1: 1 # c", "", "w 1: x", ""])
@@ -362,8 +383,8 @@ def test_public_names_are_pinned():
         "AttributeSpec", "BipartiteGraph", "CyclePair", "EuclideanSpec",
         "Instance", "MEMO_BUDGET", "Matching", "OneAttributeSpec",
         "ParseError", "Poset", "ReductionReport", "Rotation", "RotationPoset",
-        "Side", "SizeLimitError", "TieDetected", "Value",
-        "blocking_pairs", "build_instance", "compare_values",
+        "Side", "SizeLimitError", "TieDetected",
+        "blocking_pairs", "build_instance",
         "count_1attribute", "count_downsets", "count_independent_sets",
         "count_stable_matchings", "edge_cycles", "enumerate_downsets",
         "enumerate_stable_matchings", "find_all_rotations",

@@ -6,6 +6,7 @@ import stablecount.reductions
 from conftest import (
     GRAPH_3X4,
     GRAPH_4X5,
+    all_small_bipartite,
     brute_force_stable_matchings,
     eliminated_pairs,
     explicitly_precedes,
@@ -330,6 +331,19 @@ def test_attr3_never_ties_on_random_graphs():
         assert 10 <= len(g.edges) <= 25
         report = verify_reduction(g, "attr3")  # raises TieDetected on a tie
         assert report.all_ok, str(report)
+
+
+@pytest.mark.parametrize("model", ["attr3", "euclid2"])
+def test_geometric_routes_on_every_small_graph(model):
+    # all 225 labelled graphs of 1 to 4 edges; attr3 needs 2 edges
+    graphs = all_small_bipartite(4)
+    assert len(graphs) == 225
+    for g in graphs:
+        if model == "attr3" and len(g.edges) < 2:
+            continue
+        report = verify_reduction(g, model)  # raises TieDetected on a tie
+        assert report.all_ok, (g, str(report))
+        assert report.is_count == independent_sets_oracle(g)
 
 
 def test_build_instance_rejects_unknown_model():
