@@ -5,8 +5,9 @@ three generators build a 3n-by-3n instance whose stable matchings are in
 bijection with the independent sets of G:
 
 * ``gen_partial_lists`` writes the preference lists directly;
-* ``gen_3attribute`` realizes them with 3-dimensional dot products;
-* ``gen_2euclidean`` realizes them with 2-dimensional Euclidean distances.
+* ``gen_2euclidean`` realizes them with 2-dimensional Euclidean distances;
+* ``gen_3attribute`` realizes them with 3-dimensional dot products, as
+  the paraboloid lift of the Euclidean realization.
 
 The edges are labelled 1..n; walking each left vertex's incident labels
 gives a permutation rho whose cycles are intervals of consecutive
@@ -21,7 +22,6 @@ built for a concrete graph, compares it with the graph's own poset
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,220 +137,101 @@ def gen_partial_lists(
     return Instance(3 * n, men, women)
 
 
-def _placed(cp: CyclePair, slot) -> tuple[tuple, tuple, tuple, tuple]:
-    """The mpos, mpref, wpos and wpref of a geometric realization, placed
-    label by label.  ``slot(cycles, i, m, key)`` gives the three positions
-    and three preference vectors of label m of cycle i of one side's
-    `cycles`, in the role order below; `key` is the label of the third
-    position's person, rho x on the sigma side and x on the rho side."""
+def gen_2euclidean(graph: BipartiteGraph) -> EuclideanSpec:
+    """Realize the construction with 2-dimensional Euclidean distances.
+
+    Each side's cycles become runs of consecutive integers s, a cycle of
+    l labels followed by a gap of l unused integers, so 0 < s < 2n.
+    Label x of a cycle, prev the label before it, puts three people on
+    the axes, at (s - 7/10, 0), (s, 0) and (0, s): c_prev, a_x and
+    b_(rho x) on the sigma side, A_prev, B_x and C_x on the rho side.
+    Its three ideal points, of C_prev, B_x and A_x or of b_x, a_x and
+    c_x, sit at
+
+        (s - 2/5 + eps, 0),   (s + eps, big),   (s + eps, s - eps),
+
+    with big = 4n^2 and eps = 1/(1000n).  Each ranks as the list
+    construction needs:
+
+    * (s - 2/5 + eps, 0) ranks the candidate at s - 7/10 first, 3/10 + eps
+      away, and the one at s second, 2/5 - eps away; every other
+      candidate is more than 3/5 away.
+    * (s + eps, big) ranks the y-axis first: for a height u >= 1,
+      big^2 - (big - u)^2 >= 2 big - 1 > 4n^2 > (s + eps)^2.  It ranks
+      the y-axis by descending height, one block for every such person,
+      and then the x-axis by distance from s + eps: its own label's
+      person at s, then the one the next label puts at s + 3/10, or, for
+      the last label of a run, back along the run to the one at the run's
+      start minus 7/10, l - 3/10 + eps away.  The gap keeps every other
+      run l + 3/10 - eps or more away.
+    * (s + eps, s - eps) ranks (s, 0) first and (0, s) second, their
+      squared distances eps^2 + (s - eps)^2 and (s + eps)^2 + eps^2 being
+      4s eps apart.  Any other candidate is farther than (0, s) by at
+      least 1 - 2 eps on the y-axis, or (3/10 - eps)^2 - eps^2 - 4s eps
+      > 9/100 - 1/1000 - 8/1000 on the x-axis.
+
+    No two candidates are ever exactly equidistant.  Write an ideal
+    point as I + d, with I in ((1/10)Z)^2 and d = (eps, 0) or
+    (eps, -eps); every position lies on an axis, in (1/10)Z and in
+    (0, 2n).  For candidates P and Q, |I + d - P|^2 - |I + d - Q|^2 is
+    |I - P|^2 - |I - Q|^2, a multiple of 1/100, plus 2 d.(Q - P), which
+    is less than 8n eps = 1/125 in size.  So a tie needs d.(Q - P) = 0.
+    That fails for two x-axis candidates, whose positions differ, and
+    across the axes, where d.(Q - P) = -eps p + d_y u < 0 for P = (p, 0)
+    and Q = (0, u).  Two y-axis candidates at heights u and v pass it
+    only with d = (eps, 0), and then tie only if I's height is
+    (u + v)/2 < 2n; it is 0 or big.  The argument is by size, not by
+    denominators, so it holds for every n.
+    """
+    cp = edge_cycles(graph)
     n = cp.n
+    eps = Fraction(1, 1000 * n)
+    big = 4 * n * n
     mpos, mpref, wpos, wpref = ([None] * (3 * n) for _ in range(4))
     for on_sigma, cycles in ((True, cp.sigma_cycles), (False, cp.rho_cycles)):
         pos, pref = (wpos, mpref) if on_sigma else (mpos, wpref)
-        for i, cyc in enumerate(cycles):
-            for m, x in enumerate(cyc):
-                prev = cyc[m - 1]
-                if on_sigma:  # positions c_prev, a_x, b_{rho x}; preferences C_prev, B_x, A_x
-                    key = cp.rho[x - 1]
-                    at, of = (2 * n + prev, x, n + key), (2 * n + prev, n + x, x)
-                else:  # positions A_prev, B_x, C_x; preferences b_x, a_x, c_x
-                    key = x
+        s = 0
+        for cyc in cycles:
+            for prev, x in zip(cyc[-1:] + cyc[:-1], cyc):
+                s += 1
+                if on_sigma:  # positions c_prev, a_x, b_{rho x}; ideal points C_prev, B_x, A_x
+                    at, of = (2 * n + prev, x, n + cp.rho[x - 1]), (2 * n + prev, n + x, x)
+                else:  # positions A_prev, B_x, C_x; ideal points b_x, a_x, c_x
                     at, of = (prev, n + x, 2 * n + x), (n + x, x, 2 * n + x)
-                positions, prefs = slot(cycles, i, m, key)
-                for person, value in zip(at, positions):
+                for person, value in zip(at, ((s - Fraction(7, 10), 0), (s, 0), (0, s))):
                     pos[person - 1] = value
-                for person, value in zip(of, prefs):
+                for person, value in zip(
+                    of, ((s - Fraction(2, 5) + eps, 0), (s + eps, big), (s + eps, s - eps))
+                ):
                     pref[person - 1] = value
-    return tuple(mpos), tuple(mpref), tuple(wpos), tuple(wpref)
-
-
-@functools.lru_cache(maxsize=None)
-def _pi_interval(bits: int) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= pi * 2**bits <= hi and hi - lo <= 2.
-
-    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239) at w = bits + 32: J
-    floored terms of arctan(1/n) * 2**w and the alternating tail after the
-    first zero term are off by less than J + 1, so the total by err << 2**31.
-    """
-    w = bits + 32
-    total = err = 0
-    for weight, n in ((16, 5), (-4, 239)):
-        power, j = (1 << w) // n, 0
-        while power:
-            term = power // (2 * j + 1)
-            total += -weight * term if j & 1 else weight * term
-            power //= n * n
-            j += 1
-        err += abs(weight) * (j + 1)
-    return (total - err) >> 32, -((-total - err) >> 32)
-
-
-@functools.lru_cache(maxsize=None)
-def _cos_interval(a: int, b: int, bits: int) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= cos(2*pi*a/b) * 2**bits <= hi and
-    hi - lo <= 2, for 0 <= a/b < 1/4.
-
-    At w = bits + 20, 2*pi*a/b lies in [x, x + d] / 2**w, s = x / 2**w
-    < pi/2, y = floor(x**2 / 2**w).  The Taylor terms of cos(s) * 2**w are
-    T_k = floor(T_(k-1) y / (2**w (2k-1) 2k)) from T_0 = 2**w: T_1 is short
-    by less than 3/2, each later one by less than 1 + 1/9 plus 1/4 of the
-    shortfall before, so by less than 2, as is the Lagrange remainder at
-    the first zero term T_N.  So the sum is within 2N + d of the cosine at
-    any bits, below 2**19 (so hi - lo <= 2) for bits up to about 10**5.
-    """
-    w = bits + 20
-    pi_lo, pi_hi = _pi_interval(w)
-    x = 2 * a * pi_lo // b
-    d = -(-2 * a * pi_hi // b) - x
-    y = x * x >> w
-    term = total = 1 << w
-    k = 0
-    while term:
-        k += 1
-        term = (term * y >> w) // ((2 * k - 1) * 2 * k)
-        total += -term if k & 1 else term
-    err = 2 * k + d
-    return (total - err) >> 20, -((-total - err) >> 20)
-
-
-def _cos(turns: Fraction, bits: int) -> int:
-    """An integer within 2 of cos(2*pi*turns) * 2**bits."""
-    a, b = turns.numerator % turns.denominator, turns.denominator
-    if 2 * a > b:
-        a = b - a  # cos is even
-    if 4 * a > b:
-        return -_cos(Fraction(b - 2 * a, 2 * b), bits)  # cos(q) = -cos(1/2 - q)
-    return _cos_interval(a, b, bits)[0] if 4 * a < b else 0
+            s += len(cyc)  # the gap after the run
+    return EuclideanSpec(2, 3 * n, mpos, mpref, wpos, wpref)
 
 
 def gen_3attribute(graph: BipartiteGraph) -> AttributeSpec:
     """Realize the construction with 3-dimensional dot products.
 
-    People sit on the unit circle in the x-y plane.  Each side's c cycles
-    get arcs of 1/n^2 turns starting at i/c, and label m of a cycle of
-    length l owns the angles from 7m theta on, theta = 1/(n^2 (7l - 1))
-    turns (omega on the rho side).  Its three positions sit at offsets 0,
-    4 theta and 6 theta, the last with z = 4^key; its preference vectors
-    point at 8 theta/5, 14 theta/3 and, tilted phi = 1/100 turn out of the
-    plane as (sin phi cos t, sin phi sin t, cos phi), at 4 theta.  Requires
-    n >= 2: with a single edge an arc is the whole circle.
-
-    The tilted vectors, held by B-men and a-women, rank candidates of
-    different z by z: their z-terms differ by at least 3 cos phi > 2.9 and
-    their plane terms by less than 4 sin phi < 0.3.  Every other order is
-    by angle: a plane vector scores a candidate at angular distance d as
-    cos(2 pi d), and for d1 < d2 <= 1/2,
-
-        cos(2 pi d1) - cos(2 pi d2) = 2 sin(pi (d1 + d2)) sin(pi (d2 - d1))
-                                    >= 2 sin(pi (d2 - d1))**2 >= 8 (d2 - d1)**2.
-
-    Of every pair the construction orders, the distances differ by at
-    least theta/5, which is a C-man's a-woman before the b-woman of the
-    label before (12 theta/5 against 13 theta/5, and a b-woman's B-man
-    before a C-man alike), by 2 theta/3 or more elsewhere, and by theta or
-    more for a tilted vector's candidates of equal z.  So every needed
-    score gap is at least 8 theta^2/25, or sin phi * 8 theta^2 > theta^2/2.
-
-    Each coordinate is an integer over 2^b, within eps = 2^(r-b) of its
-    real value, where 2^r > 3n: the cosines are rounded within 2^-(b-1)
-    and then moved to a residue class mod 2^(r-b).  A product of two
-    coordinates of magnitude at most 1 moves by at most 2 eps + eps^2, and
-    a score by less than 5 eps (the z-terms of candidates of equal z are
-    equal), so a needed order holds when 10 eps < 8 theta^2/25, that is
-    2^(b-r) > 125/(4 theta^2).  As 1/theta < 7n^3 and 125 * 49/4 < 2^11,
-    b = r + 11 + 6 bitlen(n) suffices.
-
-    No two candidates score exactly alike for anyone.  Every preference
-    vector's x is an odd multiple of 2^-b and its y and z are multiples
-    of 2^(r-b); candidate j's x is j * 2^-b mod 2^(r-b).  So in units of
-    2^-2b, two candidates' scores differ by an odd number times their
-    index difference, mod 2^r, which is not zero as 0 < |j - j'| < 2^r.
+    This is the paraboloid lift of `gen_2euclidean` (Edelsbrunner and
+    Seidel, *Voronoi diagrams and arrangements*, DCG 1, 1986): a position
+    q becomes (q, |q|^2) and an ideal point p the preference vector
+    (2p, -1).  Their dot product is 2 p.q - |q|^2 = |p|^2 - |p - q|^2,
+    and |p|^2 is the same for all of one person's candidates, so the
+    lift induces the same instance with the same exact ties: none, by
+    `gen_2euclidean`'s argument.
     """
-    cp = edge_cycles(graph)
-    n = cp.n
-    if n < 2:
-        raise ValueError("the 3-attribute construction needs at least 2 edges")
-    r = (3 * n).bit_length()
-    bits = r + 11 + 6 * n.bit_length()
-    w = bits + 4  # the tilted products are rounded from w bits
-    phi = Fraction(1, 100)  # tilt of the z-heavy preference vectors, in turns
-    sin_phi, cos_phi = _cos(Fraction(1, 4) - phi, w), _cos(phi, bits)
+    spec = gen_2euclidean(graph)
 
-    def circle(turns: Fraction, z: int = 0) -> tuple[int, int, int]:
-        return (_cos(turns, bits), _cos(Fraction(1, 4) - turns, bits), z << bits)
+    def lifted(q):
+        return (*q, sum(x * x for x in q))
 
-    def tilted(turns: Fraction) -> tuple[int, int, int]:
-        return (
-            sin_phi * _cos(turns, w) >> w + 4,
-            sin_phi * _cos(Fraction(1, 4) - turns, w) >> w + 4,
-            cos_phi,
-        )
-
-    def slot(cycles, i, m, key):
-        turn = Fraction(1, n * n * (7 * len(cycles[i]) - 1))  # theta, or omega on the rho side
-        base = Fraction(i, len(cycles))
-
-        def angle(offset):
-            return base + (7 * m + offset) * turn
-
-        return (
-            (circle(angle(0)), circle(angle(4)), circle(angle(6), 4**key)),
-            (circle(angle(Fraction(8, 5))), tilted(angle(4)), circle(angle(Fraction(14, 3)))),
-        )
-
-    def near(x: int, modulus: int = 1, residue: int = 0) -> Fraction:
-        # the integer nearest x in the residue class, over 2**bits
-        y = x - (x - residue) % modulus
-        return Fraction(y + modulus if 2 * (x - y) > modulus else y, 1 << bits)
-
-    mpos, mpref, wpos, wpref = _placed(cp, slot)
-
-    def positions(block):
-        return [(near(x, 1 << r, j), near(y), near(z)) for j, (x, y, z) in enumerate(block, 1)]
-
-    def preferences(block):
-        return [(near(x, 2, 1), near(y, 1 << r), near(z, 1 << r)) for x, y, z in block]
+    def normal(p):
+        return (*(2 * x for x in p), -1)
 
     return AttributeSpec(
-        3, 3 * n, positions(mpos), preferences(mpref), positions(wpos), preferences(wpref)
+        3, spec.n,
+        map(lifted, spec.men_pos), map(normal, spec.men_pref),
+        map(lifted, spec.women_pos), map(normal, spec.women_pref),
     )
-
-
-def gen_2euclidean(graph: BipartiteGraph) -> EuclideanSpec:
-    """Realize the construction with 2-dimensional Euclidean distances.
-
-    All coordinates are rational: the a/c women and their suitors sit on
-    the x-axis in per-vertex runs, b-women mirror the runs on the y-axis,
-    B-men's ideal points sit 1000^n up so their ranking of b-women is by
-    y-coordinate, and A-men's ideal points drop by eps = 1/100^n to break
-    the a-versus-b symmetry the right way.
-
-    Every ideal point lying on the x-axis additionally moves right by
-    eps/7.  Those landing exactly on a grid point (A, B, a and c) would
-    otherwise be equidistant from their two grid neighbours, and the
-    off-grid ones (C and b) can hit a Pythagorean coincidence where an
-    axis candidate at distance d and a y-axis candidate at height u
-    satisfy (X - d)^2 = X^2 + u^2 exactly.  The shift is smaller than
-    eps, far below every squared-distance margin in the analysis, and
-    its denominator (7 against a base-10 grid and powers of 100) cannot
-    produce a new exact tie: clearing denominators in any tie equation
-    leaves a multiple of (7/5) * 100^n equal to a number bounded by 6n.
-    """
-    cp = edge_cycles(graph)
-    n = cp.n
-    eps = Fraction(1, 100**n)
-    nudge = eps / 7
-    big = Fraction(1000**n)
-    zero = Fraction(0)
-
-    def slot(cycles, i, m, key):
-        s = 2 * sum(map(len, cycles[:i])) + m + 1
-        return (
-            ((s - Fraction(7, 10), zero), (Fraction(s), zero), (zero, Fraction(s))),
-            ((s - Fraction(4, 10) + nudge, zero), (s + nudge, big), (s + nudge, s - eps)),
-        )
-
-    return EuclideanSpec(2, 3 * n, *_placed(cp, slot))
 
 
 # The three routes from a graph to its instance or geometric spec, by
@@ -374,7 +255,9 @@ def build_instance(graph: BipartiteGraph, model: str) -> Instance:
 def read_tau(inst: Instance) -> tuple[int, ...]:
     """Recover the b-block permutation from a generated instance: any
     B-man ranks the n b-women first, as b_tau(n) .. b_tau(1)."""
-    n = inst.n // 3
+    n, rest = divmod(inst.n, 3)
+    if rest:
+        raise ValueError(f"instance size {inst.n} is not a multiple of 3")
     first = inst.men_prefs[n]  # man B_1
     block = [w - n for w in first[:n]]
     if sorted(block) != list(range(1, n + 1)):

@@ -374,15 +374,15 @@ def test_gen_tau_pins_the_whole_instance(write, capsys):
 # sha256 of the full `gen` stdout on GRAPH_3X4 (49, 97 and 97 lines)
 GEN_3X4_SHA256 = {
     "lists": "dab745ba71d006d01ad28e3af1f316676b0ae520d8cf5075d6c414ddd4eacb8b",
-    "attr3": "21791854f7201e4dd5c41603aeb27668d94b76c6691c4d3638f3a398b6b3896c",
-    "euclid2": "5e263c3e04421e3a2601c86d2688275682f27401b3da12559ac84a8535593b4b",
+    "attr3": "51e90df24050e92ba8b197b266e60b59e1889ce7a91482ea188147154b8ea7b3",
+    "euclid2": "8c3e55918df144d1156b152b925d14c7ed8e8f5b90e37bd4f3c1033e5a397116",
 }
 # sha256 of the concatenated `gen` stdout on six random graphs (seed 0, 2 to
 # 7 edges) whose rho cycles have lengths 1 to 3 and sigma cycles 1, 2, 4, 5
 GEN_SWEEP_SHA256 = {
     "lists": "0f3b6cdf19819a9b5ad29efada75391f53305cc5f083b9eef1a7519040460232",
-    "attr3": "7365b489c8d967fa5eeb217e15df717735a7a557c6bde7308e51dd550325c972",
-    "euclid2": "e018486477e9ab7f16d8c1ece3a8d712d0276cc063d1660b0d1075da8a06bef0",
+    "attr3": "f6c040c00245b8601ab818256a3f4810830b84a0f15052e1e4134ee1f7df4a64",
+    "euclid2": "bdf5ea2ea96aa3180c9c4be9332f6ccf2c241fe924c119098356f4aca94f2210",
 }
 GEN_PATH = {
     "lists": (
@@ -402,30 +402,30 @@ GEN_PATH = {
     ),
     "attr3": (
         "model dot 3 6\n"
-        "mpos 1: 67108865/67108864 0 0\n"
-        "mpos 2: -33554431/33554432 0 0\n"
-        "mpos 3: 33554427/67108864 58117981/67108864 0\n"
-        "mpos 4: -8388607/16777216 -58117981/67108864 0\n"
-        "mpos 5: -3/67108864 67108863/67108864 4\n"
-        "mpos 6: -1/33554432 -67108863/67108864 16\n"
-        "mpref 1: 56719745/67108864 140107/262144 0\n"
-        "mpref 2: 10765017/67108864 4139989/4194304 0\n"
-        "mpref 3: 3731133/67108864 244781/8388608 8372055/8388608\n"
-        "mpref 4: 1008427/67108864 511419/8388608 8372055/8388608\n"
-        "mpref 5: 34021499/67108864 3615363/4194304 0\n"
-        "mpref 6: 65858633/67108864 402919/2097152 0\n"
-        "wpos 1: 59421945/67108864 7796761/16777216 0\n"
-        "wpos 2: 8030101/33554432 32579401/33554432 0\n"
-        "wpos 3: 50231707/67108864 1390669/2097152 4\n"
-        "wpos 4: -1/16777216 67108863/67108864 16\n"
-        "wpos 5: 44501405/67108864 25115853/33554432 0\n"
-        "wpos 6: 33554431/33554432 0 0\n"
-        "wpref 1: 2106899/67108864 456157/8388608 8372055/8388608\n"
-        "wpref 2: -2106901/67108864 -456157/8388608 8372055/8388608\n"
-        "wpref 3: 61306997/67108864 1705977/4194304 0\n"
-        "wpref 4: -61306997/67108864 -1705977/4194304 0\n"
-        "wpref 5: 22952583/67108864 7882713/8388608 0\n"
-        "wpref 6: -22952583/67108864 -7882713/8388608 0\n"
+        "mpos 1: 3/10 0 9/100\n"
+        "mpos 2: 23/10 0 529/100\n"
+        "mpos 3: 1 0 1\n"
+        "mpos 4: 3 0 9\n"
+        "mpos 5: 0 1 1\n"
+        "mpos 6: 0 3 9\n"
+        "mpref 1: 2001/1000 1999/1000 -1\n"
+        "mpref 2: 4001/1000 3999/1000 -1\n"
+        "mpref 3: 2001/1000 32 -1\n"
+        "mpref 4: 4001/1000 32 -1\n"
+        "mpref 5: 3201/1000 0 -1\n"
+        "mpref 6: 1201/1000 0 -1\n"
+        "wpos 1: 1 0 1\n"
+        "wpos 2: 2 0 4\n"
+        "wpos 3: 0 1 1\n"
+        "wpos 4: 0 2 4\n"
+        "wpos 5: 13/10 0 169/100\n"
+        "wpos 6: 3/10 0 9/100\n"
+        "wpref 1: 2001/1000 32 -1\n"
+        "wpref 2: 6001/1000 32 -1\n"
+        "wpref 3: 1201/1000 0 -1\n"
+        "wpref 4: 5201/1000 0 -1\n"
+        "wpref 5: 2001/1000 1999/1000 -1\n"
+        "wpref 6: 6001/1000 5999/1000 -1\n"
     ),
     "euclid2": (
         "model euclid 2 6\n"
@@ -435,24 +435,24 @@ GEN_PATH = {
         "mpos 4: 3 0\n"
         "mpos 5: 0 1\n"
         "mpos 6: 0 3\n"
-        "mpref 1: 70001/70000 9999/10000\n"
-        "mpref 2: 140001/70000 19999/10000\n"
-        "mpref 3: 70001/70000 1000000\n"
-        "mpref 4: 140001/70000 1000000\n"
-        "mpref 5: 112001/70000 0\n"
-        "mpref 6: 42001/70000 0\n"
+        "mpref 1: 2001/2000 1999/2000\n"
+        "mpref 2: 4001/2000 3999/2000\n"
+        "mpref 3: 2001/2000 16\n"
+        "mpref 4: 4001/2000 16\n"
+        "mpref 5: 3201/2000 0\n"
+        "mpref 6: 1201/2000 0\n"
         "wpos 1: 1 0\n"
         "wpos 2: 2 0\n"
         "wpos 3: 0 1\n"
         "wpos 4: 0 2\n"
         "wpos 5: 13/10 0\n"
         "wpos 6: 3/10 0\n"
-        "wpref 1: 70001/70000 1000000\n"
-        "wpref 2: 210001/70000 1000000\n"
-        "wpref 3: 42001/70000 0\n"
-        "wpref 4: 182001/70000 0\n"
-        "wpref 5: 70001/70000 9999/10000\n"
-        "wpref 6: 210001/70000 29999/10000\n"
+        "wpref 1: 2001/2000 16\n"
+        "wpref 2: 6001/2000 16\n"
+        "wpref 3: 1201/2000 0\n"
+        "wpref 4: 5201/2000 0\n"
+        "wpref 5: 2001/2000 1999/2000\n"
+        "wpref 6: 6001/2000 5999/2000\n"
     ),
 }
 

@@ -1,11 +1,9 @@
 import random
 import time
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-import stablecount.reductions
 from conftest import (
     GRAPH_3X4,
     brute_force_stable_matchings,
@@ -35,7 +33,6 @@ from stablecount import (
     rotation_poset,
 )
 from stablecount.geometry import compare_values, parse_value
-from stablecount.reductions import _cos, _cos_interval, _pi_interval
 
 
 F = Fraction
@@ -47,87 +44,6 @@ def test_value_rational_arithmetic():
     assert parse_value("1/3+-1/3") == 0
     assert parse_value("1/3*2/3") == F(2, 9)
     assert parse_value("2*0.5+pow(3,-1)*3") == 2
-
-
-def test_trig_quarter_turn_folds():
-    # the generator's rounded cosine, at the quarter turns it folds onto
-    one = 1 << 40
-    assert one - 2 <= _cos(F(0), 40) <= one
-    assert _cos(F(1, 4), 40) == _cos(F(3, 4), 40) == _cos(F(-1, 4), 40) == 0
-    assert -one <= _cos(F(1, 2), 40) <= 2 - one
-
-
-def test_trig_reflection_identities():
-    # the folds are exact: cos(q) = cos(-q) = cos(1 - q) = -cos(1/2 - q)
-    for q in (F(1, 7), F(3, 11), F(5, 8), F(123, 997), F(-9, 40)):
-        for bits in (30, 64):
-            assert _cos(1 - q, bits) == _cos(-q, bits) == _cos(q, bits)
-            assert _cos(F(1, 2) - q, bits) == -_cos(q, bits)
-
-
-def _decimal_pi() -> Decimal:
-    # the recipe of the decimal module's documentation, in its context
-    lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
-    while s != lasts:
-        lasts = s
-        n, na = n + na, na + 8
-        d, da = d + da, da + 32
-        t = (t * n) / d
-        s += t
-    return s
-
-
-def _decimal_cos(x: Decimal) -> Decimal:
-    # the Taylor series of cos(x), summed until it stops changing
-    i, lasts, s, fact, num, sign = 0, 0, Decimal(1), 1, 1, 1
-    while s != lasts:
-        lasts = s
-        i += 2
-        fact *= i * (i - 1)
-        num *= x * x
-        sign *= -1
-        s += num / fact * sign
-    return s
-
-
-@pytest.mark.parametrize("bits", [128, 256, 1024, 4096])
-def test_cos_enclosures_contain_decimal_values(bits):
-    # the decimal module is the oracle, 20 digits beyond the enclosure's own
-    rng = random.Random(bits)
-    with localcontext() as ctx:
-        ctx.prec = bits * 31 // 100 + 20
-        scale = Decimal(2) ** bits
-        pi = _decimal_pi()
-        lo, hi = _pi_interval(bits)
-        assert lo <= pi * scale <= hi and hi - lo <= 2
-        for _ in range(100 if bits <= 1024 else 10):  # decimal is slow at 4096 bits
-            b = rng.randint(5, 10**9)
-            a = rng.randint(0, (b - 1) // 4)
-            lo, hi = _cos_interval(a, b, bits)
-            assert lo <= _decimal_cos(2 * pi * a / b) * scale <= hi, (a, b)
-            assert hi - lo <= 2
-            q = F(rng.randint(-10**9, 10**9), b)
-            turns = Decimal(q.numerator) % q.denominator / q.denominator
-            want = _decimal_cos(2 * pi * turns)
-            assert abs(_cos(q, bits) - want * scale) <= 2, q
-
-
-def test_normal_form_folds_angles(monkeypatch):
-    # every angle reaches the Taylor series folded into [0, 1/4), where
-    # its error bound holds
-    seen = []
-    real = stablecount.reductions._cos_interval
-
-    def recorded(a, b, bits):
-        seen.append(F(a, b))
-        return real(a, b, bits)
-
-    monkeypatch.setattr(stablecount.reductions, "_cos_interval", recorded)
-    rng = random.Random(11)
-    for _ in range(200):
-        _cos(F(rng.randint(-500, 500), rng.randint(1, 60)), 64)
-    gen_3attribute(GRAPH_3X4)
-    assert len(seen) > 200 and all(0 <= q < F(1, 4) for q in seen)
 
 
 def test_compare_values_signs():
@@ -328,15 +244,6 @@ def test_dot_matches_fraction_oracle_on_3attribute_scores():
                 scores = {pairwise_dot(pref, pos) for pos in positions}
                 assert len(scores) == len(positions)
         assert instance_from_dot(spec) == dot_instance_oracle(spec)
-        # the residues that rule ties out: over the scale 2**b, each
-        # preference has x odd and y, z divisible by 2**r > spec.n, and the
-        # candidates' x lie in distinct classes mod 2**r
-        scale, mod = spec.men_pref[0][0].denominator, 1 << spec.n.bit_length()
-        for x, y, z in spec.men_pref + spec.women_pref:
-            assert (x * scale).denominator == 1 and x * scale % 2 == 1
-            assert y * scale % mod == z * scale % mod == 0
-        for positions in (spec.men_pos, spec.women_pos):
-            assert len({x * scale % mod for x, _, _ in positions}) == spec.n
 
 
 def _ranked_by_one_attribute(women):
@@ -402,6 +309,47 @@ def _outcome(build, spec):
         return build(spec)
     except TieDetected as exc:
         return (str(exc), exc.person, exc.candidates)
+
+
+def _lifted(spec: EuclideanSpec) -> AttributeSpec:
+    # the paraboloid lift: a position q becomes (q, |q|^2) and an ideal
+    # point p the preference vector (2p, -1)
+    def position(q):
+        return (*q, sum(x * x for x in q))
+
+    def preference(p):
+        return (*(2 * x for x in p), -1)
+
+    return AttributeSpec(
+        spec.k + 1, spec.n,
+        [position(q) for q in spec.men_pos], [preference(p) for p in spec.men_pref],
+        [position(q) for q in spec.women_pos], [preference(p) for p in spec.women_pref],
+    )
+
+
+def test_paraboloid_lift_keeps_instance_and_ties():
+    # 2 p.q - |q|^2 = |p|^2 - |p - q|^2: the dot model ranks the lift as
+    # the Euclidean model ranks the spec, and ties on the same pair first
+    rng = random.Random(41)
+    ties = 0
+    for _ in range(300):
+        k, n = rng.randint(1, 3), rng.randint(1, 5)
+        blocks = (
+            [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(n)] for _ in range(4)
+        )
+        spec = EuclideanSpec(k, n, *blocks)
+        try:
+            want = instance_from_euclidean(spec)
+        except TieDetected as exc:
+            ties += 1
+            with pytest.raises(TieDetected) as err:
+                instance_from_dot(_lifted(spec))
+            assert (err.value.person, err.value.candidates) == (exc.person, exc.candidates)
+        else:
+            assert instance_from_dot(_lifted(spec)) == want
+    assert 30 <= ties <= 270  # both outcomes occur
+    # the 3-attribute generator is exactly this lift of the Euclidean one
+    assert gen_3attribute(GRAPH_3X4) == _lifted(gen_2euclidean(GRAPH_3X4))
 
 
 def test_euclidean_matches_fraction_oracle():
@@ -619,7 +567,7 @@ def test_format_geometric_round_trip():
     assert parse_geometric(format_geometric(spec)) == spec
     dot = parse_geometric(GEO_TEXT)
     assert parse_geometric(format_geometric(dot)) == dot
-    attr3 = gen_3attribute(GRAPH_3X4)  # dyadic coordinates and powers of 4
+    attr3 = gen_3attribute(GRAPH_3X4)  # decimal fractions and their squares
     assert parse_geometric(format_geometric(attr3)) == attr3
     euclid2 = gen_2euclidean(GRAPH_3X4)
     assert parse_geometric(format_geometric(euclid2)) == euclid2

@@ -237,13 +237,24 @@ def test_count_independent_of_tau():
     assert str(err.value) == "instance does not start with a b-block"
 
 
+def test_read_tau_refuses_sizes_no_generator_makes():
+    # every generated instance is 3n by 3n, so any other size is refused,
+    # even where its first lists would read as a b-block
+    for size in (1, 2, 4, 5):
+        lists = ((*range(2, size + 1), 1),) * size  # B_1 would rank b_1 first
+        with pytest.raises(ValueError) as err:
+            read_tau(Instance(size, lists, lists))
+        assert str(err.value) == f"instance size {size} is not a multiple of 3"
+
+
 def test_b_list_starts_with_reversed_b_block():
+    # every B-man ranks the b-women first, in one order: b_tau(n) .. b_tau(1)
     g = GRAPH_3X4
     n = edge_cycles(g).n
-    spec = gen_3attribute(g)
-    inst = induced_instance(spec)
+    inst = induced_instance(gen_3attribute(g))
+    block = tuple(n + t for t in reversed(read_tau(inst)))
     for x in range(1, n + 1):
-        assert inst.men_prefs[n + x - 1][:n] == tuple(range(2 * n, n, -1))
+        assert inst.men_prefs[n + x - 1][:n] == block
         assert inst.men_prefs[n + x - 1][n] == x
 
 
@@ -283,16 +294,10 @@ def test_euclidean_counts_on_small_graphs():
 
 
 def test_verify_single_edge():
-    for model in ("lists", "euclid2"):
+    for model in ("lists", "attr3", "euclid2"):
         report = verify_reduction(SINGLE_EDGE, model)
         assert report.all_ok, str(report)
         assert report.is_count == report.sm_count == 3
-
-
-def test_attr3_needs_two_edges():
-    # with one edge the angular layout collapses onto exact ties
-    with pytest.raises(ValueError):
-        gen_3attribute(SINGLE_EDGE)
 
 
 def test_verify_two_edge_path_all_models():
@@ -335,15 +340,15 @@ def test_attr3_never_ties_on_random_graphs():
 
 @pytest.mark.parametrize("model", ["attr3", "euclid2"])
 def test_geometric_routes_on_every_small_graph(model):
-    # all 225 labelled graphs of 1 to 4 edges; attr3 needs 2 edges
+    # all 225 labelled graphs of 1 to 4 edges; the two models induce one
+    # instance, as attr3 is the paraboloid lift of euclid2
     graphs = all_small_bipartite(4)
     assert len(graphs) == 225
     for g in graphs:
-        if model == "attr3" and len(g.edges) < 2:
-            continue
         report = verify_reduction(g, model)  # raises TieDetected on a tie
         assert report.all_ok, (g, str(report))
         assert report.is_count == independent_sets_oracle(g)
+        assert build_instance(g, "attr3") == build_instance(g, "euclid2")
 
 
 def test_build_instance_rejects_unknown_model():
